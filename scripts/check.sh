@@ -91,8 +91,19 @@ grep -q ' blocks=0/' "$SMOKE_OUT2" || { echo "cache hit consumed blocks"; exit 1
 diff <(sed -n '/^FINAL /,$p' "$SMOKE_OUT" | tail -n +2) \
      <(sed -n '/^FINAL /,$p' "$SMOKE_OUT2" | tail -n +2) >/dev/null ||
   { echo "cache-hit answer differs from the cold answer"; exit 1; }
-kill "$SERVER_PID" 2>/dev/null || true
 echo "cache smoke OK"
+
+echo "== server smoke: AVG over a union whose parts match nothing =="
+# Every disjunct of this AVG selects no row, so the union has no mean. The
+# answer must be the empty estimate in a FINAL frame the CLI decodes, never
+# a decode error.
+"$BUILD_DIR"/blinkdb_cli --port "$(cat "$PORT_FILE")" --execute \
+  "SELECT AVG(sessiontimems) FROM sessions WHERE city = 'nope1' OR os = 'nope2' ERROR WITHIN 10% AT CONFIDENCE 95%" \
+  | tee "$SMOKE_OUT"
+grep -q '^FINAL family=union' "$SMOKE_OUT" || { echo "empty-union AVG has no FINAL"; exit 1; }
+grep -q '^0 +/- 0' "$SMOKE_OUT" || { echo "empty-union AVG is not the empty estimate"; exit 1; }
+kill "$SERVER_PID" 2>/dev/null || true
+echo "empty-union AVG smoke OK"
 
 echo "== coordinator smoke: 2-shard scatter/gather bit-identity =="
 # Boot two shard workers (each holding one row stripe of the same demo
@@ -170,6 +181,13 @@ awk -v cold="$COLD_COUNT" -v warm="$WARM_COUNT" \
   { echo "repeat query did not see the 5000 appended rows (cold=$COLD_COUNT warm=$WARM_COUNT)"; exit 1; }
 kill "$INGEST_PID" 2>/dev/null || true
 echo "ingest smoke OK"
+
+echo "== benchmark: build perfbench and run its self-test =="
+# perfbench/ (BENCHMARK.json) compiles against the runtime, cache, server and
+# coordinator APIs; building it here catches a library change that breaks it
+# before a benchmark run does. Its build tree lives under the build dir.
+CARGO_TARGET_DIR="$BUILD_DIR/bench" python3 perfbench/run.py --self-test
+echo "benchmark self-test OK"
 
 echo "== sanitizers: codec + exec under ASan/UBSan =="
 # The compressed scan path is the bit-twiddling hot spot; run its tests (and

@@ -100,16 +100,12 @@ Result<ApproxAnswer> BlinkDB::Query(std::string_view sql, ProgressCallback progr
   // invisible to this query. `pinned` owns the snapshot keeping the runs
   // alive across the call.
   const auto pinned = PinLevels(stmt->table);
-  if (pinned.has_value()) {
-    return runtime_.ExecuteLeveled(
-        *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
-        pinned->levels, tables->dim != nullptr ? &tables->dim->table : nullptr,
-        std::move(progress), cancel);
-  }
-  return runtime_.Execute(*stmt, tables->fact->name, tables->fact->table,
-                          tables->fact->scale_factor,
-                          tables->dim != nullptr ? &tables->dim->table : nullptr,
-                          std::move(progress), cancel);
+  const std::vector<LevelScan> flat;
+  return runtime_.ExecuteLeveled(*stmt, tables->fact->name, tables->fact->table,
+                                 tables->fact->scale_factor,
+                                 pinned.has_value() ? pinned->levels : flat,
+                                 tables->dim != nullptr ? &tables->dim->table : nullptr,
+                                 std::move(progress), cancel);
 }
 
 Result<ApproxAnswer> BlinkDB::QueryExact(std::string_view sql) const {

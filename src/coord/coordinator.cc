@@ -75,8 +75,7 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
         "coordinator cannot apportion one latency budget across shards)");
   }
   const bool paced = stmt->bounds.kind == QueryBounds::Kind::kError;
-  const double confidence =
-      paced ? stmt->bounds.confidence : options_.default_confidence;
+  const double confidence = ConfidenceFor(stmt->bounds);
 
   // The scattered worker statement: bounds stripped (the coordinator owns
   // the joint stopping decision) plus the hidden helper COUNT(*) the AVG
@@ -108,14 +107,8 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
   }
 
   std::vector<ShardState> st(n);
-  StopPolicy policy;
-  if (paced) {
-    policy.target_error = stmt->bounds.error;
-    policy.relative = stmt->bounds.relative;
-    policy.confidence = confidence;
-    policy.min_blocks = options_.min_stop_blocks;
-    policy.min_matched = options_.min_stop_matched;
-  }
+  // The in-process joint stopping rule, its guards totalled across shards.
+  const StopPolicy policy = StopPolicyFor(stmt->bounds);
 
   // A fault on shard i: freeze it at its last snapshot (a valid consumed
   // prefix) when one exists, or fail the query when its strata were never
@@ -167,18 +160,6 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
       parts[i] = &*shards[i].snapshot();
     }
   };
-  auto totals = [&](uint64_t* blocks, uint64_t* blocks_total, uint64_t* rows,
-                    double* matched) {
-    *blocks = *blocks_total = *rows = 0;
-    *matched = 0;
-    for (size_t i = 0; i < n; ++i) {
-      *blocks += shards[i].progress().blocks_consumed;
-      *blocks_total += ShardBlocksTotal(shards[i]);
-      *rows += shards[i].progress().rows_consumed;
-      *matched += static_cast<double>(shards[i].snapshot()->stats.rows_matched);
-    }
-  };
-
   while (true) {
     const double deadline =
         want_rounds ? options_.round_deadline_seconds : options_.final_deadline_seconds;
@@ -200,16 +181,17 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
     }
     collect_parts();
     QueryResult combined = combiner.Combine(parts, confidence);
-    uint64_t total_blocks = 0, total_blocks_total = 0, total_rows = 0;
-    double total_matched = 0;
-    totals(&total_blocks, &total_blocks_total, &total_rows, &total_matched);
+    StreamProgress sp;
+    double matched = 0;
+    for (size_t i = 0; i < n; ++i) {
+      sp.blocks_consumed += shards[i].progress().blocks_consumed;
+      sp.blocks_total += ShardBlocksTotal(shards[i]);
+      sp.rows_consumed += shards[i].progress().rows_consumed;
+      matched += static_cast<double>(shards[i].snapshot()->stats.rows_matched);
+    }
     const StopPolicy::Decision decision =
-        policy.Evaluate(FlattenEstimates(combined), total_blocks, total_matched);
+        policy.Evaluate(FlattenEstimates(combined), sp.blocks_consumed, matched);
     if (progress) {
-      StreamProgress sp;
-      sp.blocks_consumed = total_blocks;
-      sp.blocks_total = total_blocks_total;
-      sp.rows_consumed = total_rows;
       sp.achieved_error = decision.achieved_error;
       sp.bound_met = decision.bound_met;
       progress(combined, sp);
@@ -274,19 +256,6 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
   collect_parts();
   ApproxAnswer answer;
   answer.result = combiner.Combine(parts, confidence);
-  if (progress) {
-    // The in-process contract: exactly one final_batch call with the answer.
-    uint64_t total_blocks = 0, total_blocks_total = 0, total_rows = 0;
-    double total_matched = 0;
-    totals(&total_blocks, &total_blocks_total, &total_rows, &total_matched);
-    StreamProgress sp;
-    sp.blocks_consumed = total_blocks;
-    sp.blocks_total = total_blocks_total;
-    sp.rows_consumed = total_rows;
-    sp.achieved_error = ReportedError(answer.result, stmt->bounds, confidence);
-    sp.final_batch = true;
-    progress(answer.result, sp);
-  }
   ExecutionReport& report = answer.report;
   report.family = "sharded";
   report.schedule = ScheduleMode::kAdaptive;
@@ -316,6 +285,10 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
     report.rows_read += out.rows_consumed;
     report.bytes_scanned += out.bytes_scanned;
     report.bytes_decoded += out.bytes_decoded;
+  }
+  if (progress) {
+    // The in-process contract: exactly one final_batch call with the answer.
+    progress(answer.result, TerminalProgress(answer, stmt->bounds));
   }
   return answer;
 }

@@ -57,11 +57,6 @@ struct CoordinatorOptions {
   // Deadline for one-shot (unbounded) scatters and the final CANCEL→FINAL
   // gather, which cover a whole execution rather than one round.
   double final_deadline_seconds = 30.0;
-  // Confidence for unbounded queries (bounded ones carry their own).
-  double default_confidence = 0.95;
-  // Joint stopping guards, totalled across shards (StopPolicy).
-  uint64_t min_stop_blocks = 4;
-  double min_stop_matched = 60.0;
   // Test hook: fires after every gathered round (post-combine, pre-award)
   // with the 1-based round number — fault-injection tests kill or stall
   // workers here at a deterministic point.

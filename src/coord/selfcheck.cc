@@ -22,8 +22,7 @@ void AppendDouble(std::string& out, double v) {
 Result<QueryResult> RunShardedReference(const std::string& sql,
                                         const std::vector<ShardReference>& shards,
                                         const RuntimeConfig& runtime_config,
-                                        uint64_t round_blocks,
-                                        double default_confidence) {
+                                        uint64_t round_blocks) {
   if (shards.empty()) {
     return Status::InvalidArgument("reference needs at least one shard");
   }
@@ -32,8 +31,7 @@ Result<QueryResult> RunShardedReference(const std::string& sql,
     return stmt.status();
   }
   const bool paced = stmt->bounds.kind == QueryBounds::Kind::kError;
-  const double confidence =
-      paced ? stmt->bounds.confidence : default_confidence;
+  const double confidence = ConfidenceFor(stmt->bounds);
 
   // Reproduce the coordinator's scatter statement through the same render +
   // re-parse round trip the worker saw, so literal bit patterns match.

@@ -37,8 +37,7 @@ struct ShardReference {
 Result<QueryResult> RunShardedReference(const std::string& sql,
                                         const std::vector<ShardReference>& shards,
                                         const RuntimeConfig& runtime_config,
-                                        uint64_t round_blocks,
-                                        double default_confidence = 0.95);
+                                        uint64_t round_blocks);
 
 // Canonical %.17g rendering of an answer — group values, estimate values,
 // and variances — for exact cross-run comparison. Two results compare equal

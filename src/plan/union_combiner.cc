@@ -134,9 +134,12 @@ QueryResult UnionCombiner::Combine(const std::vector<const QueryResult*>& partia
     for (size_t a = 0; a < agg_funcs_.size(); ++a) {
       Estimate est = c.sums[a];
       if (agg_funcs_[a] == AggFunc::kAvg) {
-        const double total = std::max(1e-300, c.total_count[a]);
-        est.value = c.weighted_num[a] / total;
-        est.variance = c.sums[a].variance / (total * total);
+        // A cell every part matched nothing in has no mean: the empty
+        // estimate, as StratifiedAvg returns for the same cell.
+        const double total = c.total_count[a];
+        est = total > 0.0 ? Estimate{c.weighted_num[a] / total,
+                                     c.sums[a].variance / (total * total)}
+                          : Estimate{};
       }
       row.aggregates.push_back(est);
     }

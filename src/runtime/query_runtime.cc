@@ -20,7 +20,50 @@ std::string FamilyName(const SampleFamily& family) {
   return "{" + Join(family.columns(), ",") + "}";
 }
 
+bool HasQuantile(const SelectStatement& stmt) {
+  return std::any_of(stmt.items.begin(), stmt.items.end(), [](const SelectItem& item) {
+    return item.is_aggregate && item.agg.func == AggFunc::kQuantile;
+  });
+}
+
 }  // namespace
+
+double ConfidenceFor(const QueryBounds& bounds) {
+  return bounds.kind == QueryBounds::Kind::kError ? bounds.confidence
+                                                  : kDefaultConfidence;
+}
+
+StopPolicy StopPolicyFor(const QueryBounds& bounds) {
+  StopPolicy policy;
+  policy.confidence = ConfidenceFor(bounds);
+  if (bounds.kind == QueryBounds::Kind::kError) {
+    policy.target_error = bounds.error;
+    policy.relative = bounds.relative;
+    policy.min_blocks = kMinStopBlocks;
+    // Mirrors the 2x min-matches guard the resolution choice applies.
+    policy.min_matched = 2.0 * static_cast<double>(kMinProbeMatches);
+  }
+  return policy;
+}
+
+StreamProgress TerminalProgress(const ApproxAnswer& answer, const QueryBounds& bounds) {
+  const ExecutionReport& report = answer.report;
+  StreamProgress p;
+  p.blocks_consumed = report.blocks_consumed;
+  for (const PipelineOutcome& outcome : report.pipeline_outcomes) {
+    p.blocks_total += outcome.blocks_total;
+  }
+  p.rows_consumed = report.rows_read;
+  p.rows_total = report.rows_read;
+  p.bytes_scanned = report.bytes_scanned;
+  p.bytes_decoded = report.bytes_decoded;
+  p.achieved_error = report.achieved_error;
+  p.bound_met = bounds.kind == QueryBounds::Kind::kError &&
+                report.achieved_error <= bounds.error;
+  p.final_batch = true;
+  p.cache = report.cache;
+  return p;
+}
 
 double ReportedError(const QueryResult& result, const QueryBounds& bounds,
                      double confidence) {
@@ -245,9 +288,8 @@ double QueryRuntime::DeltaLatency(const SampleFamily& family, size_t larger,
 }
 
 Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
-    const SelectStatement& stmt, const std::string& table_name, const Table& fact,
-    double scale_factor, const Table* dim) const {
-  (void)fact;
+    const SelectStatement& stmt, const std::string& table_name, double scale_factor,
+    const Table* dim) const {
   FamilyChoice choice;
   const std::vector<std::string> phi = stmt.TemplateColumns();
 
@@ -302,7 +344,7 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
         return;
       }
       out.result = std::move(result.value());
-      if (out.result.stats.rows_matched >= config_.min_probe_matches || idx == 0) {
+      if (out.result.stats.rows_matched >= kMinProbeMatches || idx == 0) {
         break;
       }
       --idx;
@@ -352,7 +394,7 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
     // the probe with the 1/sqrt(n) law. Captures both selectivity and the
     // weight dispersion a mismatched stratification induces. A probe that
     // matched nothing gives no information: treat as unboundedly bad.
-    const double probe_error = ReportedError(result, stmt.bounds, config_.default_confidence);
+    const double probe_error = ReportedError(result, stmt.bounds, kDefaultConfidence);
     const double projected =
         result.stats.rows_matched == 0
             ? std::numeric_limits<double>::infinity()
@@ -398,9 +440,7 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
 
 QueryRuntime::PipelinePlan QueryRuntime::PlanExact(const SelectStatement& stmt,
                                                    const Table& fact,
-                                                   double scale_factor,
                                                    const Table* dim) const {
-  (void)scale_factor;
   PipelinePlan plan;
   plan.family_name = "exact";
   plan.spec.stmt = stmt;
@@ -439,8 +479,7 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
         return result.status();
       }
       probe_result = std::move(result.value());
-      if (probe_result.stats.rows_matched >= config_.min_probe_matches ||
-          probe_idx == 0) {
+      if (probe_result.stats.rows_matched >= kMinProbeMatches || probe_idx == 0) {
         plan.probe_latency += LatencyForDataset(probe, scale_factor);
         break;
       }
@@ -448,9 +487,7 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
     }
   }
   const uint64_t probe_rows = family.resolution(probe_idx).rows;
-  const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                ? stmt.bounds.confidence
-                                : config_.default_confidence;
+  const double confidence = ConfidenceFor(stmt.bounds);
   const double probe_matched =
       std::max<double>(1.0, static_cast<double>(probe_result.stats.rows_matched));
   const double probe_error = ReportedError(probe_result, stmt.bounds, confidence);
@@ -484,7 +521,7 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
       chosen = 0;
       for (size_t i = family.num_resolutions(); i-- > 0;) {
         if (plan.elp[i].projected_error <= stmt.bounds.error &&
-            plan.elp[i].projected_matched >= 2.0 * config_.min_probe_matches) {
+            plan.elp[i].projected_matched >= 2.0 * kMinProbeMatches) {
           chosen = i;
           break;
         }
@@ -568,55 +605,35 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
   return plan;
 }
 
-StopPolicy QueryRuntime::PolicyFor(const SelectStatement& stmt, bool any_streamed) const {
-  StopPolicy policy;  // default-constructed: never stops
-  const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                ? stmt.bounds.confidence
-                                : config_.default_confidence;
-  policy.confidence = confidence;  // progress errors match the report either way
-  if (!any_streamed) {
-    return policy;
-  }
-  if (stmt.bounds.kind == QueryBounds::Kind::kError) {
-    policy.target_error = stmt.bounds.error;
-    policy.relative = stmt.bounds.relative;
-    policy.min_blocks = config_.stream_min_blocks;
-    // Mirrors the 2x min-matches guard the resolution choice applies.
-    policy.min_matched = 2.0 * static_cast<double>(config_.min_probe_matches);
-  }
-  // Time bounds carry no error target: each pipeline's block budget (set at
-  // planning time from the cluster model) ends the scan instead.
-  return policy;
-}
-
 Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
                                            std::vector<PipelinePlan> plans,
                                            double scale_factor,
                                            const ProgressCallback& progress,
                                            const std::atomic<bool>* cancel,
-                                           CacheRequest* cache_req,
+                                           const CacheRequest& cache_req,
                                            uint32_t batch_blocks_override) const {
-  const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                ? stmt.bounds.confidence
-                                : config_.default_confidence;
+  const double confidence = ConfidenceFor(stmt.bounds);
   bool any_streamed = false;
+  bool final_only = false;
   double max_probe_latency = 0.0;
   for (const auto& p : plans) {
     any_streamed = any_streamed || p.streamed;
+    final_only = final_only || p.final_only;
     max_probe_latency = std::max(max_probe_latency, p.probe_latency);
   }
 
-  // What can be cached: streamed-capable answers over samples. Time bounds
-  // are excluded (their block budgets depend on the clock, not the data) and
-  // so are exact pipelines (prefixes of unshuffled tables don't resume).
-  bool cacheable = cache_req != nullptr && cache_req->cache != nullptr &&
-                   config_.streaming && stmt.bounds.kind != QueryBounds::Kind::kTime;
+  // What can be cached: the caller only asks for streamed-capable answers
+  // that are not time-bounded (block budgets depend on the clock, not the
+  // data). A resumable entry excludes exact pipelines (prefixes of
+  // unshuffled tables don't resume); a final-only entry resumes nothing.
+  bool cacheable = cache_req.cache != nullptr;
   for (const auto& p : plans) {
-    cacheable = cacheable && !p.spec.dataset.is_exact();
+    cacheable = cacheable && (final_only || !p.spec.dataset.is_exact());
   }
+  const bool resumable = cacheable && !final_only;
   // Capture what the entry needs before the specs are moved into the plan.
   std::vector<CachedPipeline> cached_pipes;
-  if (cacheable) {
+  if (resumable) {
     cached_pipes.reserve(plans.size());
     for (const auto& p : plans) {
       CachedPipeline cp;
@@ -640,7 +657,10 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
                                              ? batch_blocks_override
                                              : config_.stream_batch_blocks)
                                       : 0;
-  options.policy = PolicyFor(stmt, any_streamed);
+  // A plan with no streamed pipeline never stops; its progress errors are
+  // still evaluated at the report's confidence.
+  options.policy = any_streamed ? StopPolicyFor(stmt.bounds) : StopPolicy{};
+  options.policy.confidence = confidence;
   options.progress = progress;
   options.cancel = cancel;
   options.schedule = config_.schedule_mode;
@@ -663,7 +683,7 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
     }
   }
 
-  options.export_state = cacheable;
+  options.export_state = resumable;
 
   QueryPlan plan;
   plan.pipelines.reserve(plans.size());
@@ -686,8 +706,9 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
   report.cancelled = run->cancelled;
   report.effective_error_bound =
       stmt.bounds.kind == QueryBounds::Kind::kError ? stmt.bounds.error : 0.0;
-  if (cache_req != nullptr && cache_req->cache != nullptr) {
-    report.cache = CacheOutcomeName(cache_req->outcome);
+  report.rewrite_fallback = cache_req.rewrite_fallback;
+  if (cache_req.cache != nullptr) {
+    report.cache = CacheOutcomeName(cache_req.outcome);
   }
   if (plans.size() == 1) {
     const PipelinePlan& p = plans.front();
@@ -697,7 +718,7 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
     report.elp = p.elp;
     report.projected_error = p.projected_error;
   } else {
-    report.family = "union";
+    report.family = final_only ? "leveled" : "union";
   }
 
   double max_pipeline_total = 0.0;
@@ -776,20 +797,24 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
   // would leak into later hits. Resumed runs DO insert — the refreshed entry
   // supersedes the shorter prefix under the same key.
   if (cacheable && !run->cancelled) {
+    // "Complete" gates the serve-regardless-of-bound hit path, so it must
+    // mean "no tighter answer exists": every scan covered its family's
+    // MAXIMAL logical sample end to end. A probe answer (reused_probe) or
+    // full scan over a coarser resolution is complete for its own dataset,
+    // but a re-execution could still tighten it by streaming resolution 0.
     bool complete = true;
-    bool have_snapshot = false;
-    bool consistent = run->states.size() == cached_pipes.size();
-    for (size_t i = 0; consistent && i < cached_pipes.size(); ++i) {
+    for (size_t i = 0; i < plans.size(); ++i) {
       const PipelineOutcome& outcome = report.pipeline_outcomes[i];
-      // "Complete" gates the serve-regardless-of-bound hit path, so it must
-      // mean "no tighter answer exists": the scan covered the family's
-      // MAXIMAL logical sample end to end. A probe answer (reused_probe) or
-      // full scan over a coarser resolution is complete for its own dataset,
-      // but a re-execution could still tighten it by streaming resolution 0.
       complete = complete && plans[i].scan_resolution == 0 &&
                  (outcome.reused_probe ||
                   outcome.blocks_consumed + plans[i].resume_blocks >=
                       outcome.blocks_total);
+    }
+    // Resume material: a snapshot (or §4.4 probe answer) per pipeline. A
+    // final-only plan exports none and caches just its FINAL.
+    bool have_snapshot = false;
+    bool consistent = !resumable || run->states.size() == cached_pipes.size();
+    for (size_t i = 0; consistent && i < cached_pipes.size(); ++i) {
       cached_pipes[i].snapshot = run->states[i];
       if (cached_pipes[i].snapshot != nullptr) {
         have_snapshot = true;
@@ -814,9 +839,9 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
       entry->cap = report.cap;
       entry->projected_error = report.projected_error;
       entry->num_subqueries = report.num_subqueries;
-      entry->rewrite_fallback = cache_req->rewrite_fallback;
+      entry->rewrite_fallback = cache_req.rewrite_fallback;
       entry->pipelines = std::move(cached_pipes);
-      cache_req->cache->Insert(cache_req->key, std::move(entry));
+      cache_req.cache->Insert(cache_req.key, std::move(entry));
     }
   }
   return ApproxAnswer{std::move(result), std::move(report)};
@@ -880,9 +905,7 @@ ApproxAnswer QueryRuntime::ServeCacheHit(const SelectStatement& stmt,
                                          double achieved_error) const {
   ApproxAnswer answer;
   answer.result = entry->result;
-  answer.result.confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                 ? stmt.bounds.confidence
-                                 : config_.default_confidence;
+  answer.result.confidence = ConfidenceFor(stmt.bounds);
   ExecutionReport& report = answer.report;
   report.family = entry->family;
   report.resolution = entry->resolution;
@@ -897,53 +920,58 @@ ApproxAnswer QueryRuntime::ServeCacheHit(const SelectStatement& stmt,
   report.achieved_error = achieved_error;
   report.effective_error_bound =
       stmt.bounds.kind == QueryBounds::Kind::kError ? stmt.bounds.error : 0.0;
+  report.rewrite_fallback = entry->rewrite_fallback;
   report.cache = CacheOutcomeName(CacheOutcome::kHit);
   return answer;
 }
 
-Result<ApproxAnswer> QueryRuntime::RunUnion(const SelectStatement& stmt,
-                                            const std::string& table_name,
-                                            const Table& fact, double scale_factor,
-                                            const Table* dim,
-                                            std::vector<Predicate> disjuncts,
-                                            const ProgressCallback& progress,
-                                            const std::atomic<bool>* cancel,
-                                            CacheRequest* cache_req,
-                                            uint32_t batch_blocks_override) const {
-  // One pipeline per conjunctive disjunct, each bound to its best-covering
-  // dataset (§4.1.2). AVG recombination needs a COUNT column, so every
-  // subquery gets the helper before family selection probes it — the probes
-  // then carry the same aggregate shape the pipelines scan.
-  const UnionCombiner combiner(stmt);
-  std::vector<PipelinePlan> plans;
-  plans.reserve(disjuncts.size());
-  for (auto& disjunct : disjuncts) {
-    SelectStatement sub = stmt;
-    sub.where = std::move(disjunct);
-    combiner.PrepareSubquery(sub);
-    auto choice = ChooseFamily(sub, table_name, fact, scale_factor, dim);
-    if (!choice.ok()) {
-      return choice.status();
-    }
-    if (choice->family == nullptr) {
-      plans.push_back(PlanExact(sub, fact, scale_factor, dim));
-      continue;
-    }
-    const SampleFamily* family = choice->family;
-    auto pipeline = PlanOnFamily(sub, *family, std::move(*choice), scale_factor, dim);
-    if (!pipeline.ok()) {
-      return pipeline.status();
-    }
-    plans.push_back(std::move(pipeline.value()));
+std::vector<SelectStatement> QueryRuntime::SubStatements(const SelectStatement& stmt,
+                                                         const std::string& table_name,
+                                                         bool* rewrite_fallback) const {
+  // A disjunctive WHERE with no single covering family is rewritten as a
+  // union of conjunctive subqueries (§4.1.2). Quantiles cannot be recombined
+  // across disjuncts, so they always run whole.
+  if (!stmt.where.has_value() || stmt.where->IsConjunctive() || HasQuantile(stmt) ||
+      !store_->CoveringFamilies(table_name, stmt.TemplateColumns()).empty()) {
+    return {stmt};
   }
-  return RunPlan(stmt, std::move(plans), scale_factor, progress, cancel, cache_req,
-                 batch_blocks_override);
+  auto disjuncts = ToDnf(*stmt.where, kMaxDisjuncts);
+  if (!disjuncts.has_value()) {
+    // DNF overflow: run the whole disjunctive predicate as one scan, and say
+    // so instead of falling back silently.
+    *rewrite_fallback = true;
+    return {stmt};
+  }
+  // Duplicates (e.g. `x = 1 OR x = 1`) would double-count the union; when
+  // every disjunct was the same, the query is really conjunctive and runs
+  // the lone disjunct as a plain query.
+  DedupDisjuncts(*disjuncts);
+  std::vector<SelectStatement> subs;
+  subs.reserve(disjuncts->size());
+  for (Predicate& disjunct : *disjuncts) {
+    subs.push_back(stmt);
+    subs.back().where = std::move(disjunct);
+  }
+  return subs;
+}
+
+Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanPipeline(
+    const SelectStatement& stmt, const std::string& table_name, const Table& fact,
+    double scale_factor, const Table* dim) const {
+  auto choice = ChooseFamily(stmt, table_name, scale_factor, dim);
+  if (!choice.ok()) {
+    return choice.status();
+  }
+  if (choice->family == nullptr) {
+    return PlanExact(stmt, fact, dim);
+  }
+  const SampleFamily* family = choice->family;
+  return PlanOnFamily(stmt, *family, std::move(*choice), scale_factor, dim);
 }
 
 QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
                                                    const SelectStatement& stmt,
                                                    const LevelScan& level,
-                                                   double scale_factor,
                                                    const Table* dim) const {
   // Family choice mirrors §4.1.1 without probing: runs are orders of
   // magnitude smaller than the base table, so the covering-stratified /
@@ -975,13 +1003,15 @@ QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
     // Exact scan of the run's rows: an L0 write buffer (or a merged run below
     // the sampling threshold) is a weight-1 stratum — a valid sample prefix
     // by construction, contributing zero variance to the union.
-    PipelinePlan plan = PlanExact(sub, *level.rows, scale_factor, dim);
+    PipelinePlan plan = PlanExact(sub, *level.rows, dim);
     plan.family_name = level.label + ":exact";
     plan.model_scale = 1.0;
+    plan.final_only = true;
     return plan;
   }
 
   PipelinePlan plan;
+  plan.final_only = true;
   plan.family_name = level.label + ":" + FamilyName(*family);
   plan.family_uniform = family->kind() == SampleFamily::Kind::kUniform;
   plan.family_columns = family->columns();
@@ -1015,168 +1045,6 @@ QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
   return plan;
 }
 
-Result<ApproxAnswer> QueryRuntime::ExecuteLeveled(
-    const SelectStatement& stmt, const std::string& table_name, const Table& fact,
-    double scale_factor, const std::vector<LevelScan>& levels, const Table* dim,
-    ProgressCallback progress, const std::atomic<bool>* cancel,
-    const CacheContext& cache_ctx, uint32_t batch_blocks_override) const {
-  if (levels.empty()) {
-    return Execute(stmt, table_name, fact, scale_factor, dim, std::move(progress),
-                   cancel, cache_ctx, batch_blocks_override);
-  }
-  for (const auto& item : stmt.items) {
-    if (item.is_aggregate && item.agg.func == AggFunc::kQuantile) {
-      return Status::Unimplemented(
-          "quantiles over a leveled table are not supported: t-digests do not "
-          "recombine across level pipelines with run-local weights");
-    }
-  }
-  const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                ? stmt.bounds.confidence
-                                : config_.default_confidence;
-  const bool cache_on = cache_ctx.cache != nullptr && config_.streaming &&
-                        stmt.bounds.kind != QueryBounds::Kind::kTime;
-
-  // Same terminal-callback safety net as Execute; the leveled cache outcome
-  // is settled before the first partial can fire (hit returns early, so any
-  // streamed partial is a miss).
-  bool progress_fired = false;
-  ProgressCallback wrapped;
-  if (progress) {
-    wrapped = [&progress, &progress_fired, cache_on](const QueryResult& partial,
-                                                     const StreamProgress& p) {
-      progress_fired = true;
-      if (cache_on) {
-        StreamProgress stamped = p;
-        stamped.cache = CacheOutcomeName(CacheOutcome::kMiss);
-        progress(partial, stamped);
-        return;
-      }
-      progress(partial, p);
-    };
-  }
-  auto finish = [&](Result<ApproxAnswer> answer) {
-    if (progress && answer.ok() && !progress_fired) {
-      const ApproxAnswer& a = answer.value();
-      StreamProgress p;
-      p.blocks_consumed = a.report.blocks_consumed;
-      p.blocks_total = a.report.blocks_read;
-      p.rows_consumed = a.report.rows_read;
-      p.rows_total = a.report.rows_read;
-      p.achieved_error = a.report.achieved_error;
-      p.bound_met = stmt.bounds.kind == QueryBounds::Kind::kError &&
-                    a.report.achieved_error <= stmt.bounds.error;
-      p.bytes_scanned = a.report.bytes_scanned;
-      p.bytes_decoded = a.report.bytes_decoded;
-      p.final_batch = true;
-      p.cache = a.report.cache;
-      progress(a.result, p);
-    }
-    return answer;
-  };
-
-  // --- Answer cache: hit or cold, never resume -------------------------------
-  // Run families live in the pinned snapshot, not the SampleStore, so a
-  // cached pipeline prefix cannot be re-bound later; entries are final-only.
-  // The key carries the snapshot fingerprint on top of the generation: two
-  // different pinned level sets can never share an entry.
-  std::string cache_key;
-  if (cache_on) {
-    cache_key = AnswerCacheKey(stmt, cache_ctx.table_generation,
-                               config_.morsel_rows, config_.compressed_scan,
-                               config_.filter_encoded_views) +
-                "|" + cache_ctx.key_suffix;
-    if (auto entry = cache_ctx.cache->Lookup(cache_key)) {
-      const double err = ReportedError(entry->result, stmt.bounds, confidence);
-      const bool meets = stmt.bounds.kind == QueryBounds::Kind::kError &&
-                         err <= stmt.bounds.error;
-      if (meets || entry->complete) {
-        cache_ctx.cache->RecordOutcome(CacheOutcome::kHit);
-        ApproxAnswer hit = ServeCacheHit(stmt, entry, err);
-        hit.report.rewrite_fallback = entry->rewrite_fallback;
-        return finish(std::move(hit));
-      }
-    }
-    cache_ctx.cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-
-  // --- Plan: base pipeline + one pipeline per pinned run ---------------------
-  // No DNF rewrite on the leveled path: a disjunctive WHERE runs as one scan
-  // of the whole predicate per level (the pipeline set stays levels + 1), and
-  // the report says so via rewrite_fallback — same contract as the overflow
-  // fallback of the flat path.
-  const bool rewrite_fallback =
-      stmt.where.has_value() && !stmt.where->IsConjunctive();
-  const UnionCombiner combiner(stmt);
-  SelectStatement sub = stmt;
-  combiner.PrepareSubquery(sub);
-
-  std::vector<PipelinePlan> plans;
-  plans.reserve(levels.size() + 1);
-  bool base_tightenable = false;
-  auto choice = ChooseFamily(sub, table_name, fact, scale_factor, dim);
-  if (!choice.ok()) {
-    return choice.status();
-  }
-  if (choice->family == nullptr) {
-    plans.push_back(PlanExact(sub, fact, scale_factor, dim));
-  } else {
-    const SampleFamily* family = choice->family;
-    auto pipeline =
-        PlanOnFamily(sub, *family, std::move(*choice), scale_factor, dim);
-    if (!pipeline.ok()) {
-      return pipeline.status();
-    }
-    // A base scan that stopped at a coarser resolution could still be
-    // tightened by a re-execution streaming resolution 0, so such an answer
-    // must not gate the serve-regardless-of-bound cache path.
-    base_tightenable = pipeline.value().scan_resolution != 0;
-    plans.push_back(std::move(pipeline.value()));
-  }
-  for (const LevelScan& level : levels) {
-    plans.push_back(PlanLevel(sub, stmt, level, scale_factor, dim));
-  }
-
-  auto answer =
-      RunPlan(stmt, std::move(plans), scale_factor, wrapped, cancel,
-              /*cache_req=*/nullptr, batch_blocks_override);
-  if (!answer.ok()) {
-    return answer.status();
-  }
-  ExecutionReport& report = answer.value().report;
-  report.family = "leveled";
-  report.rewrite_fallback = rewrite_fallback;
-  if (cache_on) {
-    report.cache = CacheOutcomeName(CacheOutcome::kMiss);
-  }
-
-  // --- Cache insertion: final answer only ------------------------------------
-  // RunPlan's own insertion path is bypassed (it would record resumable
-  // pipeline state bound to SampleStore families — the wrong store for run
-  // families). A later query with the same statement, generation, and pinned
-  // fingerprint serves this FINAL; any other level set misses by key.
-  if (cache_on && !report.cancelled) {
-    auto entry = std::make_shared<CacheEntry>();
-    entry->result = answer.value().result;
-    entry->result_confidence = confidence;
-    entry->complete = !report.stopped_early && !base_tightenable;
-    entry->resumable = false;
-    entry->blocks_consumed = report.blocks_consumed;
-    for (const PipelineOutcome& outcome : report.pipeline_outcomes) {
-      entry->blocks_total += outcome.blocks_total;
-    }
-    entry->rows_consumed = report.rows_read;
-    entry->family = report.family;
-    entry->resolution = report.resolution;
-    entry->cap = report.cap;
-    entry->projected_error = report.projected_error;
-    entry->num_subqueries = report.num_subqueries;
-    entry->rewrite_fallback = rewrite_fallback;
-    cache_ctx.cache->Insert(cache_key, std::move(entry));
-  }
-  return finish(std::move(answer));
-}
-
 Result<ApproxAnswer> QueryRuntime::Execute(const SelectStatement& stmt,
                                            const std::string& table_name,
                                            const Table& fact, double scale_factor,
@@ -1185,166 +1053,121 @@ Result<ApproxAnswer> QueryRuntime::Execute(const SelectStatement& stmt,
                                            const std::atomic<bool>* cancel,
                                            const CacheContext& cache_ctx,
                                            uint32_t batch_blocks_override) const {
-  // Declared ahead of the progress wrappers so they can stamp the cache
-  // outcome into every StreamProgress (by-reference capture; the outcome is
-  // settled before the first partial can fire).
-  CacheRequest cache_req;
-  CacheRequest* cache_reqp = nullptr;
+  return ExecuteLeveled(stmt, table_name, fact, scale_factor, /*levels=*/{}, dim,
+                        std::move(progress), cancel, cache_ctx, batch_blocks_override);
+}
 
-  // The callback contract promises a terminal final_batch invocation for
-  // every successful query. The plan driver fires it on every path it
-  // drives; the synthetic completion below is a safety net for any path
-  // that returns without streaming.
-  bool progress_fired = false;
-  ProgressCallback wrapped;
-  if (progress) {
-    wrapped = [&progress, &progress_fired, &cache_reqp](const QueryResult& partial,
-                                                        const StreamProgress& p) {
-      progress_fired = true;
-      if (cache_reqp != nullptr) {
-        StreamProgress stamped = p;
-        stamped.cache = CacheOutcomeName(cache_reqp->outcome);
-        progress(partial, stamped);
-        return;
-      }
-      progress(partial, p);
-    };
+Result<ApproxAnswer> QueryRuntime::ExecuteLeveled(
+    const SelectStatement& stmt, const std::string& table_name, const Table& fact,
+    double scale_factor, const std::vector<LevelScan>& levels, const Table* dim,
+    ProgressCallback progress, const std::atomic<bool>* cancel,
+    const CacheContext& cache_ctx, uint32_t batch_blocks_override) const {
+  if (!levels.empty() && HasQuantile(stmt)) {
+    return Status::Unimplemented(
+        "quantiles over a leveled table are not supported: t-digests do not "
+        "recombine across level pipelines with run-local weights");
   }
-  auto finish = [&](Result<ApproxAnswer> answer) {
-    if (progress && answer.ok() && !progress_fired) {
-      const ApproxAnswer& a = answer.value();
-      StreamProgress p;
-      p.blocks_consumed = a.report.blocks_consumed;
-      p.blocks_total = a.report.blocks_read;
-      p.rows_consumed = a.report.rows_read;
-      p.rows_total = a.report.rows_read;
-      p.achieved_error = a.report.achieved_error;
-      p.bound_met = stmt.bounds.kind == QueryBounds::Kind::kError &&
-                    a.report.achieved_error <= stmt.bounds.error;
-      p.bytes_scanned = a.report.bytes_scanned;
-      p.bytes_decoded = a.report.bytes_decoded;
-      p.final_batch = true;
-      p.cache = a.report.cache;
-      progress(a.result, p);
-    }
-    return answer;
-  };
 
-  // --- Answer cache: hit / resume / miss ------------------------------------
+  // --- Answer cache: hit / resume / miss, before any planning ---------------
   // Time-bounded queries are never cached (their budgets depend on the
   // clock); with no cache configured this block is a no-op and the code path
-  // below is byte-for-byte the pre-cache behavior.
-  std::shared_ptr<const CacheEntry> resume_entry;
+  // below is byte-for-byte the cache-free behavior. A leveled key carries the
+  // pinned snapshot's fingerprint on top of the generation: two different
+  // level sets can never share an entry.
+  CacheRequest cache_req;
   if (cache_ctx.cache != nullptr && config_.streaming &&
       stmt.bounds.kind != QueryBounds::Kind::kTime) {
     cache_req.cache = cache_ctx.cache;
     cache_req.key = AnswerCacheKey(stmt, cache_ctx.table_generation,
                                    config_.morsel_rows, config_.compressed_scan,
                                    config_.filter_encoded_views);
-    cache_reqp = &cache_req;
-    if (auto entry = cache_ctx.cache->Lookup(cache_req.key)) {
-      const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                    ? stmt.bounds.confidence
-                                    : config_.default_confidence;
-      const double err = ReportedError(entry->result, stmt.bounds, confidence);
+    if (!levels.empty()) {
+      cache_req.key += "|" + cache_ctx.key_suffix;
+    }
+  }
+  // Every partial the plan streams carries the cache outcome, settled before
+  // the first one fires. ExecutePlan ends every plan it runs with the
+  // final_batch call itself; only a hit synthesizes one.
+  ProgressCallback stamped;
+  if (progress && cache_req.cache != nullptr) {
+    stamped = [&progress, &cache_req](const QueryResult& partial,
+                                      const StreamProgress& p) {
+      StreamProgress with_cache = p;
+      with_cache.cache = CacheOutcomeName(cache_req.outcome);
+      progress(partial, with_cache);
+    };
+  }
+  const ProgressCallback& on_round = stamped ? stamped : progress;
+  if (cache_req.cache != nullptr) {
+    if (auto entry = cache_req.cache->Lookup(cache_req.key)) {
+      const double err =
+          ReportedError(entry->result, stmt.bounds, ConfidenceFor(stmt.bounds));
       const bool meets = stmt.bounds.kind == QueryBounds::Kind::kError &&
                          err <= stmt.bounds.error;
       if (meets || entry->complete) {
         // The cached answer already satisfies this query — or its scan is
         // complete, so re-executing could not tighten it. Serve the stored
         // FINAL: zero blocks consumed, microsecond latency.
-        cache_ctx.cache->RecordOutcome(CacheOutcome::kHit);
+        cache_req.cache->RecordOutcome(CacheOutcome::kHit);
         ApproxAnswer hit = ServeCacheHit(stmt, entry, err);
-        hit.report.rewrite_fallback = entry->rewrite_fallback;
-        return finish(std::move(hit));
-      }
-      if (entry->resumable) {
-        resume_entry = std::move(entry);
-      }
-    }
-  }
-  if (resume_entry != nullptr) {
-    if (auto resumed = PlanResumeFromCache(stmt, table_name, *resume_entry)) {
-      // Near-miss: the cached error is wider than the incoming bound. Seed
-      // the pipelines with the snapshots and stream on from the cached
-      // prefix — strictly fewer blocks than a cold run, same answer bits.
-      cache_req.outcome = CacheOutcome::kResume;
-      cache_req.rewrite_fallback = resume_entry->rewrite_fallback;
-      cache_ctx.cache->RecordOutcome(CacheOutcome::kResume);
-      auto answer = RunPlan(stmt, std::move(*resumed), scale_factor, wrapped,
-                            cancel, cache_reqp, batch_blocks_override);
-      if (answer.ok()) {
-        answer.value().report.rewrite_fallback = resume_entry->rewrite_fallback;
-      }
-      return finish(std::move(answer));
-    }
-    resume_entry.reset();  // store changed under the entry: run cold
-  }
-  if (cache_reqp != nullptr) {
-    cache_ctx.cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-
-  // Disjunctive WHERE with no single covering family: rewrite as a union of
-  // conjunctive subqueries (§4.1.2). Quantiles cannot be recombined across
-  // disjuncts, so they always take the single-family path.
-  bool rewrite_fallback = false;
-  const SelectStatement* effective = &stmt;
-  SelectStatement dedup_stmt;  // backing store when dedup collapses the OR
-  if (stmt.where.has_value() && !stmt.where->IsConjunctive()) {
-    const std::vector<std::string> phi = stmt.TemplateColumns();
-    const bool has_covering = !store_->CoveringFamilies(table_name, phi).empty();
-    bool has_quantile = false;
-    for (const auto& item : stmt.items) {
-      if (item.is_aggregate && item.agg.func == AggFunc::kQuantile) {
-        has_quantile = true;
-      }
-    }
-    if (!has_covering && !has_quantile) {
-      auto disjuncts = ToDnf(*stmt.where, config_.max_disjuncts);
-      if (!disjuncts.has_value()) {
-        // DNF overflow: run the whole disjunctive predicate as one scan, and
-        // say so instead of falling back silently.
-        rewrite_fallback = true;
-      } else {
-        DedupDisjuncts(*disjuncts);
-        if (disjuncts->size() > 1) {
-          return finish(RunUnion(stmt, table_name, fact, scale_factor, dim,
-                                 std::move(*disjuncts), wrapped, cancel, cache_reqp,
-                                 batch_blocks_override));
+        if (progress) {
+          progress(hit.result, TerminalProgress(hit, stmt.bounds));
         }
-        // Every disjunct was identical (e.g. `x = 1 OR x = 1`): the query is
-        // really conjunctive; running the lone disjunct as a plain query
-        // avoids double-counting the "union".
-        dedup_stmt = stmt;
-        dedup_stmt.where = std::move(disjuncts->front());
-        effective = &dedup_stmt;
+        return hit;
+      }
+      auto resumed = entry->resumable ? PlanResumeFromCache(stmt, table_name, *entry)
+                                      : std::nullopt;
+      if (resumed.has_value()) {
+        // Near-miss: the cached error is wider than the incoming bound. Seed
+        // the pipelines with the snapshots and stream on from the cached
+        // prefix — strictly fewer blocks than a cold run, same answer bits.
+        // (No resume when the store changed under the entry: run cold.)
+        cache_req.outcome = CacheOutcome::kResume;
+        cache_req.rewrite_fallback = entry->rewrite_fallback;
+        cache_req.cache->RecordOutcome(CacheOutcome::kResume);
+        return RunPlan(stmt, std::move(*resumed), scale_factor, on_round, cancel,
+                       cache_req, batch_blocks_override);
       }
     }
+    cache_req.cache->RecordOutcome(CacheOutcome::kMiss);
   }
 
-  auto choice = ChooseFamily(*effective, table_name, fact, scale_factor, dim);
-  if (!choice.ok()) {
-    return choice.status();
-  }
-  std::vector<PipelinePlan> plans;
-  if (choice->family == nullptr) {
-    plans.push_back(PlanExact(*effective, fact, scale_factor, dim));
+  // --- Sub-statements --------------------------------------------------------
+  // No DNF rewrite with levels pinned: a disjunctive WHERE runs as one scan
+  // of the whole predicate per pipeline (the pipeline set stays levels + 1),
+  // and the report says so via rewrite_fallback — the same contract as the
+  // overflow fallback of the flat path.
+  std::vector<SelectStatement> subs;
+  if (levels.empty()) {
+    subs = SubStatements(stmt, table_name, &cache_req.rewrite_fallback);
   } else {
-    const SampleFamily* family = choice->family;
-    auto pipeline =
-        PlanOnFamily(*effective, *family, std::move(*choice), scale_factor, dim);
-    if (!pipeline.ok()) {
-      return pipeline.status();
+    cache_req.rewrite_fallback = stmt.where.has_value() && !stmt.where->IsConjunctive();
+    subs.push_back(stmt);
+  }
+
+  // --- Pipelines: one per sub-statement, plus one per pinned run ------------
+  // Union plans recombine AVG through a COUNT column, so every subquery gets
+  // the helper before family selection probes it — the probes then carry
+  // the same aggregate shape the pipelines scan.
+  const UnionCombiner combiner(stmt);
+  const bool is_union = subs.size() + levels.size() > 1;
+  std::vector<PipelinePlan> plans;
+  plans.reserve(subs.size() + levels.size());
+  for (SelectStatement& sub : subs) {
+    if (is_union) {
+      combiner.PrepareSubquery(sub);
     }
-    plans.push_back(std::move(pipeline.value()));
+    auto plan = PlanPipeline(sub, table_name, fact, scale_factor, dim);
+    if (!plan.ok()) {
+      return plan.status();
+    }
+    plans.push_back(std::move(plan.value()));
   }
-  cache_req.rewrite_fallback = rewrite_fallback;
-  auto answer = RunPlan(*effective, std::move(plans), scale_factor, wrapped,
-                        cancel, cache_reqp, batch_blocks_override);
-  if (answer.ok()) {
-    answer.value().report.rewrite_fallback = rewrite_fallback;
+  for (const LevelScan& level : levels) {
+    plans.push_back(PlanLevel(subs.front(), stmt, level, dim));
   }
-  return finish(std::move(answer));
+  return RunPlan(stmt, std::move(plans), scale_factor, on_round, cancel, cache_req,
+                 batch_blocks_override);
 }
 
 }  // namespace blink

@@ -8,8 +8,9 @@
 // the one plan driver. A conjunctive query is a 1-pipeline plan over its
 // chosen dataset, a disjunctive WHERE is rewritten into an N-pipeline union
 // plan with one pipeline per DNF disjunct (§4.1.2) whose pipelines stream
-// together under a joint error bound, and the EXACT fallback is a 1-pipeline
-// plan over the base table.
+// together under a joint error bound, the EXACT fallback is a 1-pipeline
+// plan over the base table, and a live table adds one pipeline per pinned
+// ingest run. One entry path (ExecuteLeveled) plans them all.
 #ifndef BLINKDB_RUNTIME_QUERY_RUNTIME_H_
 #define BLINKDB_RUNTIME_QUERY_RUNTIME_H_
 
@@ -32,19 +33,30 @@
 
 namespace blink {
 
+// Fixed parameters of bounded execution, shared by the runtime and the
+// distributed coordinator so both stop a query on the same rule.
+//
+// Confidence for queries that name none (time-bounded and unbounded ones).
+inline constexpr double kDefaultConfidence = 0.95;
+// Minimum matched rows a probe must see before its selectivity estimate is
+// trusted; smaller probes escalate to the next resolution ("runs a few
+// smaller samples", §4.2). Twice this many matched rows is the guard of the
+// resolution choice and of every error stop.
+inline constexpr uint64_t kMinProbeMatches = 30;
+// Minimum blocks a streamed plan must consume (across its pipelines) before
+// an error stop may fire; guards against spurious stops on tiny, noisy
+// prefixes.
+inline constexpr uint64_t kMinStopBlocks = 4;
+// Cap on disjuncts produced by the DNF rewrite before falling back to
+// single-family execution of the whole disjunctive predicate (reported as
+// ExecutionReport::rewrite_fallback).
+inline constexpr size_t kMaxDisjuncts = 16;
+
 struct RuntimeConfig {
-  double default_confidence = 0.95;
-  // Minimum matched rows a probe must see before its selectivity estimate is
-  // trusted; smaller probes escalate to the next resolution ("runs a few
-  // smaller samples", §4.2).
-  uint64_t min_probe_matches = 30;
   // Reuse the probe's scanned blocks when running the final resolution of the
   // same family (§4.4): the final scan is charged only for the delta bytes.
+  // false is the paper's no-reuse baseline (runtime_test's §4.4 comparison).
   bool reuse_intermediate = true;
-  // Cap on disjuncts produced by the DNF rewrite before falling back to
-  // single-family execution of the whole disjunctive predicate (reported as
-  // ExecutionReport::rewrite_fallback).
-  size_t max_disjuncts = 16;
   // Worker threads for the morsel-driven scan engine. > 1 creates a
   // ThreadPool that also fans out the §4.1.1 family-selection probes.
   // Results are identical for every value (deterministic merge order).
@@ -59,17 +71,15 @@ struct RuntimeConfig {
   // stops the moment every group's error at the query's confidence is inside
   // the bound (ERROR WITHIN) or the time bound's per-pipeline block budgets
   // are exhausted (WITHIN .. SECONDS). The cluster model is charged only for
-  // blocks actually consumed. false reproduces the one-shot §4.2 projection
-  // path exactly.
+  // blocks actually consumed. false reproduces the paper's one-shot §4.2
+  // projection path exactly: the baseline bench_incremental and
+  // bench_disjunctive measure against, and the never-stop oracle of the
+  // incremental and fuzz-differential tests.
   bool streaming = true;
   // Blocks each pipeline consumes between stopping-rule evaluations (the
   // round-robin share of the streamed plan). Smaller = finer stops, more
   // re-finalization overhead.
   uint32_t stream_batch_blocks = 16;
-  // Minimum blocks a streamed plan must consume (across its pipelines)
-  // before an error stop may fire; guards against spurious stops on tiny,
-  // noisy prefixes.
-  uint64_t stream_min_blocks = 4;
   // How streamed multi-pipeline union plans spread blocks across their
   // pipelines (src/plan/scheduler.h). kAdaptive awards each round to the
   // pipeline dominating the joint union error (once every pipeline clears
@@ -77,16 +87,18 @@ struct RuntimeConfig {
   // block-budget pool; kUniform reproduces the fixed round-robin — and its
   // exact block-consumption trace — with static per-pipeline time budgets.
   // Answers under a never-stop drive are bit-identical in both modes.
+  // kUniform is bench_adaptive's baseline and the fuzz-differential oracle.
   ScheduleMode schedule_mode = ScheduleMode::kAdaptive;
   // Scan compressed block storage on tables that carry it (see
   // BlinkDB::CompressStorage); false forces raw column scans. Answers and
-  // block-consumption traces are bit-identical either way.
+  // block-consumption traces are bit-identical either way; false is the raw
+  // arm of the fuzz-differential test and of bench_scan_throughput.
   bool compressed_scan = true;
   // On compressed scans, evaluate predicates directly over encoded views
   // (dict indices / RLE runs) of filter-only columns instead of decoding
   // them; false forces the decode path. Answers and block-consumption traces
-  // are bit-identical either way — a differential-test arm, like
-  // compressed_scan.
+  // are bit-identical either way; false is the decode-then-filter arm of the
+  // fuzz-differential test and of bench_scan_throughput.
   bool filter_encoded_views = true;
 };
 
@@ -144,7 +156,7 @@ struct ExecutionReport {
   double achieved_error = 0.0;    // self-reported relative error of the answer
   std::vector<ElpPoint> elp;
   size_t num_subqueries = 1;      // union-plan pipelines (>1 when the rewrite fired)
-  // The WHERE was disjunctive but the DNF expansion overflowed max_disjuncts,
+  // The WHERE was disjunctive but the DNF expansion overflowed kMaxDisjuncts,
   // so the query ran as a single scan of the whole disjunctive predicate
   // instead of a union plan (§4.1.2 rewrite abandoned, not silently hidden).
   bool rewrite_fallback = false;
@@ -170,10 +182,11 @@ struct ApproxAnswer {
 struct CacheContext {
   AnswerCache* cache = nullptr;
   uint64_t table_generation = 0;
-  // Extra key material appended to the answer-cache key. The leveled path
-  // passes the pinned snapshot's fingerprint (version + run ids) so two
-  // different level sets can never share an entry, even across the window
-  // between a publication and its generation bump becoming visible.
+  // Extra key material appended (after a '|') to the answer-cache key of a
+  // query with pinned levels: the snapshot's fingerprint (version + run ids),
+  // so two different level sets can never share an entry, even across the
+  // window between a publication and its generation bump becoming visible.
+  // Flat queries ignore it.
   std::string key_suffix;
 };
 
@@ -198,25 +211,7 @@ class QueryRuntime {
     }
   }
 
-  // Answers `stmt` over table `table_name` whose exact contents are `fact`.
-  // `scale_factor` maps in-memory bytes to paper-scale bytes for the latency
-  // model (a 5M-row stand-in for a 5.5B-row table has scale 1100). `dim` is
-  // the joined dimension table, exact and unsampled (§2.1). `progress`, when
-  // set, receives the partial answer after every streamed round — for union
-  // plans, the combined partial answer across all pipelines. `cancel`, when
-  // non-null, is a cooperative cancellation flag checked at round
-  // boundaries: once true, the plan returns its best partial answer with
-  // ExecutionReport::cancelled set, and the cluster model is charged only
-  // for the blocks actually consumed (the §4.4 early-stopping rule).
-  // `cache_ctx`, when it carries a cache, consults it before planning: a hit
-  // whose achieved error meets the bound returns the stored FINAL with zero
-  // blocks consumed, a near-miss resumes streaming from the cached prefix,
-  // and a miss executes cold and inserts the exported pipeline state.
-  // `batch_blocks_override`, when nonzero, replaces
-  // RuntimeConfig::stream_batch_blocks for this call alone — the per-round
-  // block share of streamed pipelines. Distributed workers use it so the
-  // coordinator's round size controls the worker's round cadence (and hence
-  // where pause points land) without reconfiguring the shared runtime pool.
+  // Answers `stmt` over a flat table: ExecuteLeveled with no pinned levels.
   Result<ApproxAnswer> Execute(const SelectStatement& stmt, const std::string& table_name,
                                const Table& fact, double scale_factor,
                                const Table* dim = nullptr,
@@ -225,19 +220,42 @@ class QueryRuntime {
                                const CacheContext& cache_ctx = {},
                                uint32_t batch_blocks_override = 0) const;
 
-  // Execute over a live (leveled) table: the base table's chosen pipeline
-  // plus one pipeline per pinned ingest run, all driven as one union plan
-  // under the joint stopping rule — a query over a live table is just a wider
-  // physical plan. `levels` borrows from a pinned LeveledStore::Snapshot the
-  // caller keeps alive; an empty vector is exactly Execute. Differences from
-  // the flat path, by design:
-  //  - No DNF rewrite: a disjunctive WHERE runs as one scan per level
-  //    (reported rewrite_fallback), keeping the pipeline set = levels + 1.
-  //  - Quantiles are rejected (t-digests don't merge across level pipelines
-  //    with run-local weights yet).
-  //  - The answer cache serves hits and inserts final-only entries but never
-  //    resumes: run families live in the snapshot, not the SampleStore, so a
-  //    cached prefix cannot be re-bound after the snapshot is gone.
+  // The one entry path. Answers `stmt` over table `table_name` whose base
+  // contents are `fact` plus, on a live table, the pinned ingest runs
+  // `levels` (borrowed from a LeveledStore::Snapshot the caller keeps alive;
+  // empty for a flat table). Every query takes the same steps:
+  //  1. Cache lookup, before any planning (`cache_ctx` carries a cache): a
+  //     hit whose achieved error meets the bound — or whose scan is
+  //     complete — returns the stored FINAL with zero blocks consumed, a
+  //     resumable near-miss streams on from the cached prefix, anything
+  //     else is a miss.
+  //  2. Sub-statements: on a flat table the distinct DNF disjuncts of a
+  //     disjunctive WHERE no single family covers (§4.1.2), else the
+  //     statement itself. A live table is never rewritten: a disjunctive
+  //     WHERE runs as one scan per pipeline (reported rewrite_fallback), and
+  //     quantiles are rejected (t-digests don't merge across level pipelines
+  //     with run-local weights).
+  //  3. Pipelines: each sub-statement chooses a family (§4.1.1) and plans
+  //     its ELP and resolution (§4.2); each pinned run adds one pipeline.
+  //     The set runs as one plan under the joint stopping rule.
+  // Level pipelines are final-only: their families live in the snapshot,
+  // not the SampleStore, so their answers are cached without a resumable
+  // prefix and a tighter bound re-runs cold.
+  // `scale_factor` maps in-memory bytes to paper-scale bytes for the latency
+  // model (a 5M-row stand-in for a 5.5B-row table has scale 1100). `dim` is
+  // the joined dimension table, exact and unsampled (§2.1). `progress`, when
+  // set, receives the partial answer after every streamed round — for union
+  // plans, the combined partial answer across all pipelines — and ends with
+  // exactly one final_batch call. `cancel`, when non-null, is a cooperative
+  // cancellation flag checked at round boundaries: once true, the plan
+  // returns its best partial answer with ExecutionReport::cancelled set, and
+  // the cluster model is charged only for the blocks actually consumed (the
+  // §4.4 early-stopping rule). `batch_blocks_override`, when nonzero,
+  // replaces RuntimeConfig::stream_batch_blocks for this call alone — the
+  // per-round block share of streamed pipelines. Distributed workers use it
+  // so the coordinator's round size controls the worker's round cadence (and
+  // hence where pause points land) without reconfiguring the shared runtime
+  // pool.
   Result<ApproxAnswer> ExecuteLeveled(const SelectStatement& stmt,
                                       const std::string& table_name, const Table& fact,
                                       double scale_factor,
@@ -291,6 +309,12 @@ class QueryRuntime {
     // the data — PlanLevel pins their charge to 1 so the modeled latency
     // matches the estimator's weight-1 semantics.
     double model_scale = 0.0;
+    // An ingest run's pipeline (PlanLevel). Its family lives in the pinned
+    // snapshot, not the SampleStore, so no later query can re-bind its
+    // prefix: a plan holding one is cached as a final answer only — no
+    // resume material, family "leveled" — and its exact runs do not keep
+    // the answer out of the cache.
+    bool final_only = false;
     // Cross-query resume (answer cache): the prefix the pipeline was seeded
     // with via PipelineSpec::resume. The pipeline's outcome still covers the
     // FULL consumed prefix (that is what makes resumed answers bit-identical
@@ -304,21 +328,37 @@ class QueryRuntime {
 
   // How RunPlan talks to the answer cache for one execution: the outcome to
   // stamp into the report, and — for miss/resume outcomes — the key under
-  // which to insert the run's exported state afterwards.
+  // which to insert the run's answer afterwards. A null `cache` is the
+  // cache-free path.
   struct CacheRequest {
     AnswerCache* cache = nullptr;
     std::string key;
     CacheOutcome outcome = CacheOutcome::kMiss;
-    // Report flag the entry must reproduce on a hit (the cached execution ran
-    // the abandoned-rewrite path).
+    // Report flag of the execution, which the entry reproduces on a hit (the
+    // plan ran the abandoned-rewrite path).
     bool rewrite_fallback = false;
   };
+
+  // §4.1.2: the sub-statements a flat query's plan scans — its distinct DNF
+  // disjuncts when the WHERE is disjunctive, no single family covers it and
+  // it asks no quantile; otherwise the statement itself (with the lone
+  // disjunct when every disjunct was the same). A DNF overflowing
+  // kMaxDisjuncts also runs whole and sets `*rewrite_fallback`.
+  std::vector<SelectStatement> SubStatements(const SelectStatement& stmt,
+                                             const std::string& table_name,
+                                             bool* rewrite_fallback) const;
+
+  // One sub-statement's pipeline: ChooseFamily, then PlanOnFamily on the
+  // chosen family or PlanExact when the table has none.
+  Result<PipelinePlan> PlanPipeline(const SelectStatement& stmt,
+                                    const std::string& table_name, const Table& fact,
+                                    double scale_factor, const Table* dim) const;
 
   // §4.1.1: pick a family for a conjunctive column set. Probes every
   // family's smallest useful resolution concurrently on the thread pool;
   // the selection charge is the makespan (max), not the sum.
   Result<FamilyChoice> ChooseFamily(const SelectStatement& stmt,
-                                    const std::string& table_name, const Table& fact,
+                                    const std::string& table_name,
                                     double scale_factor, const Table* dim) const;
 
   // §4.2: probe + ELP + resolution choice on one family, producing the
@@ -329,31 +369,27 @@ class QueryRuntime {
                                     double scale_factor, const Table* dim) const;
   // Exact fallback pipeline over the base table.
   PipelinePlan PlanExact(const SelectStatement& stmt, const Table& fact,
-                         double scale_factor, const Table* dim) const;
-
-  // One ingest run's pipeline for ExecuteLeveled: the run's best covering
-  // family at resolution 0 (stratified covering the predicate columns,
-  // else uniform, else exact scan of the run's rows), streamed/budgeted the
-  // same way the base pipeline is. `sub` is the union-prepared statement.
-  PipelinePlan PlanLevel(const SelectStatement& sub, const SelectStatement& stmt,
-                         const LevelScan& level, double scale_factor,
                          const Table* dim) const;
 
-  // Joint stopping rule for a plan answering `stmt` (never stops when
-  // streaming is off or the query is unbounded).
-  StopPolicy PolicyFor(const SelectStatement& stmt, bool any_streamed) const;
+  // One ingest run's final-only pipeline: the run's best covering family at
+  // resolution 0 (stratified covering the predicate columns, else uniform,
+  // else exact scan of the run's rows), streamed/budgeted the same way the
+  // base pipeline is. `sub` is the union-prepared statement.
+  PipelinePlan PlanLevel(const SelectStatement& sub, const SelectStatement& stmt,
+                         const LevelScan& level, const Table* dim) const;
 
   // Drives a planned pipeline set and assembles the ExecutionReport:
   // per-pipeline consumed blocks are charged to the cluster model (minus the
   // §4.4 probe prefixes) with makespan latency across pipelines. A fired
   // `cancel` flag ends the drive at a round boundary; the charges then cover
-  // exactly the consumed prefixes, never the planned totals.
+  // exactly the consumed prefixes, never the planned totals. With a cache
+  // in `cache_req`, the answer is inserted afterwards.
   Result<ApproxAnswer> RunPlan(const SelectStatement& stmt,
                                std::vector<PipelinePlan> plans, double scale_factor,
                                const ProgressCallback& progress,
                                const std::atomic<bool>* cancel,
-                               CacheRequest* cache_req = nullptr,
-                               uint32_t batch_blocks_override = 0) const;
+                               const CacheRequest& cache_req,
+                               uint32_t batch_blocks_override) const;
 
   // Rebuilds the pipeline plans of a cached entry so RunPlan resumes
   // streaming from the snapshots instead of block 0. Nullopt when the entry
@@ -368,16 +404,6 @@ class QueryRuntime {
   ApproxAnswer ServeCacheHit(const SelectStatement& stmt,
                              const std::shared_ptr<const CacheEntry>& entry,
                              double achieved_error) const;
-
-  // §4.1.2: plan construction for the union-of-conjunctive-subqueries path.
-  Result<ApproxAnswer> RunUnion(const SelectStatement& stmt,
-                                const std::string& table_name, const Table& fact,
-                                double scale_factor, const Table* dim,
-                                std::vector<Predicate> disjuncts,
-                                const ProgressCallback& progress,
-                                const std::atomic<bool>* cancel,
-                                CacheRequest* cache_req = nullptr,
-                                uint32_t batch_blocks_override = 0) const;
 
   // Workload of scanning `ds` minus its first `skip_prefix_rows` rows
   // (a sample-prefix boundary, so the skip is whole blocks). Bytes and block
@@ -447,6 +473,23 @@ void DedupDisjuncts(std::vector<Predicate>& disjuncts);
 // than collapsing the whole metric. Exposed for tests.
 double ReportedError(const QueryResult& result, const QueryBounds& bounds,
                      double confidence);
+
+// The confidence a query's errors are evaluated at: its own under ERROR
+// WITHIN, kDefaultConfidence otherwise.
+double ConfidenceFor(const QueryBounds& bounds);
+
+// The joint stopping rule of a streamed plan (or a distributed gather)
+// answering under `bounds`: the error target with the kMinStopBlocks and
+// 2 x kMinProbeMatches guards under ERROR WITHIN; otherwise a rule that
+// never stops on error (a time bound's block budgets end the scan instead).
+StopPolicy StopPolicyFor(const QueryBounds& bounds);
+
+// The terminal progress event (final_batch) for `answer`, for executions
+// that return without ExecutePlan firing one: cache hits and the
+// coordinator's gathered answer. It carries the report's totals — blocks
+// consumed out of every pipeline's total, rows read, bytes, achieved error
+// — and whether that error meets an ERROR WITHIN bound.
+StreamProgress TerminalProgress(const ApproxAnswer& answer, const QueryBounds& bounds);
 
 }  // namespace blink
 

@@ -368,8 +368,7 @@ class BlinkServer::Session {
         stmt->bounds.error = 0.0;
         stmt->bounds.relative = true;
         stmt->bounds.confidence =
-            query.confidence > 0 ? query.confidence
-                                 : server_->options_.runtime.default_confidence;
+            query.confidence > 0 ? query.confidence : kDefaultConfidence;
       }
       // Load shedding: under queue pressure a relative error bound widens to
       // the ladder rung (never narrows) — a coarser answer now instead of
@@ -429,6 +428,7 @@ class BlinkServer::Session {
       // point are invisible to this query (snapshot isolation), and the
       // pinned snapshot keeps its runs alive through the scan.
       const auto pinned = server_->db_.PinLevels(stmt->table);
+      const std::vector<LevelScan> flat;
       CacheContext cache_ctx;
       // Paced executions bypass the answer cache: their artificial 0-error
       // bound must neither be served from a stored FINAL (the coordinator
@@ -449,15 +449,9 @@ class BlinkServer::Session {
           paced ? static_cast<uint32_t>(std::min<uint64_t>(
                       query.round_blocks, std::numeric_limits<uint32_t>::max()))
                 : 0;
-      if (pinned.has_value()) {
-        return runtime.ExecuteLeveled(
-            *stmt, tables->fact->name, tables->fact->table,
-            tables->fact->scale_factor, pinned->levels,
-            tables->dim != nullptr ? &tables->dim->table : nullptr,
-            std::move(progress), cancel, cache_ctx, batch_override);
-      }
-      return runtime.Execute(
+      return runtime.ExecuteLeveled(
           *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
+          pinned.has_value() ? pinned->levels : flat,
           tables->dim != nullptr ? &tables->dim->table : nullptr, std::move(progress),
           cancel, cache_ctx, batch_override);
     }();

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "src/api/blinkdb.h"
+#include "src/cache/answer_cache.h"
+#include "src/server/protocol.h"
+#include "src/server/server.h"
+#include "src/sql/parser.h"
 #include "src/workload/conviva.h"
+#include "src/workload/demo_db.h"
 #include "src/workload/tpch.h"
 
 namespace blink {
@@ -142,6 +151,162 @@ TEST(BlinkDbTest, MaintenanceRebuildsOnDrift) {
   auto answer = db.Query("SELECT COUNT(*) FROM sessions");
   ASSERT_TRUE(answer.ok());
   EXPECT_NEAR(answer->result.rows[0].aggregates[0].value, 60'500.0, 3000.0);
+}
+
+// --- The demo serving state ---------------------------------------------------
+
+// The runtime settings of blinkdb_server at its default flags.
+BlinkDbOptions ServerDefaults() {
+  BlinkDbOptions options;
+  options.runtime.exec_threads = 2;
+  options.runtime.morsel_rows = 512;
+  options.runtime.stream_batch_blocks = 4;
+  return options;
+}
+
+// Appends one 2000-row arrival batch and runs the maintenance step the
+// server runs after every APPEND.
+void AppendBatch(BlinkDB& db, Rng& rng) {
+  ASSERT_TRUE(
+      db.Append("sessions", GenerateConvivaArrivals(ConvivaConfig{}, 2'000, rng)).ok());
+  ASSERT_TRUE(db.MaintenanceTick("sessions").ok());
+}
+
+// An AVG whose union parts all matched nothing has no mean. It must come
+// back as the empty estimate and travel in a FINAL frame that decodes, on
+// both union plans: a flat table's DNF disjuncts and a leveled table's runs.
+TEST(DemoDbTest, AvgOverEmptyUnionPartsEncodesADecodableFinal) {
+  BlinkDB db(ServerDefaults());
+  ASSERT_TRUE(BuildConvivaDemo(db).ok());
+  const auto expect_empty_round_trip = [&db](const std::string& sql,
+                                             const std::string& family) {
+    SCOPED_TRACE(sql);
+    auto answer = db.Query(sql);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->report.family, family);
+    ASSERT_EQ(answer->result.rows.size(), 1u);
+    ASSERT_EQ(answer->result.rows[0].aggregates.size(), 1u);
+    EXPECT_EQ(answer->result.rows[0].aggregates[0].value, 0.0);
+    EXPECT_EQ(answer->result.rows[0].aggregates[0].variance, 0.0);
+
+    FinalFrame frame;
+    frame.id = 1;
+    frame.result = answer->result;
+    frame.report = answer->report;
+    auto decoded = DecodeFrame(EncodeFinal(frame));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(std::holds_alternative<FinalFrame>(decoded->payload));
+    const QueryResult& back = std::get<FinalFrame>(decoded->payload).result;
+    ASSERT_EQ(back.rows.size(), 1u);
+    EXPECT_EQ(back.rows[0].aggregates[0].value, 0.0);
+    EXPECT_EQ(back.rows[0].aggregates[0].variance, 0.0);
+  };
+  expect_empty_round_trip(
+      "SELECT AVG(sessiontimems) FROM sessions WHERE city = 'nope1' OR os = 'nope2' "
+      "ERROR WITHIN 10% AT CONFIDENCE 95%",
+      "union");
+  Rng rng(7);
+  AppendBatch(db, rng);
+  expect_empty_round_trip(
+      "SELECT AVG(sessiontimems) FROM sessions WHERE city = 'nope1' "
+      "ERROR WITHIN 10% AT CONFIDENCE 95%",
+      "leveled");
+}
+
+// The answer cache on a leveled table, driven the way the server drives it:
+// entries are final answers keyed by generation plus the pinned level set.
+// They serve hits but never resume, and any publication retires them.
+TEST(DemoDbTest, LeveledQueriesServeFinalOnlyCacheEntries) {
+  BlinkDB db(ServerDefaults());
+  ASSERT_TRUE(BuildConvivaDemo(db).ok());
+  Rng rng(11);
+  for (int i = 0; i < 3; ++i) {
+    AppendBatch(db, rng);
+  }
+  AnswerCache cache(ServerOptions().answer_cache_entries);
+  const QueryRuntime runtime(&db.samples(), &db.cluster(), ServerDefaults().runtime);
+
+  struct Run {
+    Result<ApproxAnswer> answer = ApproxAnswer{};
+    std::vector<StreamProgress> events;
+  };
+  const auto run = [&](const std::string& sql) {
+    Run out;
+    auto stmt = ParseSelect(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto tables = db.Resolve(*stmt);
+    EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+    const auto pinned = db.PinLevels("sessions");
+    EXPECT_TRUE(pinned.has_value());
+    CacheContext cache_ctx;
+    cache_ctx.cache = &cache;
+    cache_ctx.table_generation = pinned->generation;
+    cache_ctx.key_suffix = pinned->fingerprint;
+    out.answer = runtime.ExecuteLeveled(
+        *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
+        pinned->levels, nullptr,
+        [&out](const QueryResult&, const StreamProgress& p) { out.events.push_back(p); },
+        nullptr, cache_ctx);
+    return out;
+  };
+  const std::string at_5 =
+      "SELECT COUNT(*) FROM sessions WHERE country = 'country_1' "
+      "ERROR WITHIN 5% AT CONFIDENCE 95%";
+
+  // Cold: a miss that stops early, and every PARTIAL it streams says so.
+  const Run cold = run(at_5);
+  ASSERT_TRUE(cold.answer.ok()) << cold.answer.status().ToString();
+  EXPECT_EQ(cold.answer->report.family, "leveled");
+  EXPECT_EQ(cold.answer->report.cache, "miss");
+  EXPECT_EQ(cold.answer->report.num_subqueries, 4u);  // base + 3 runs
+  EXPECT_GT(cold.answer->report.blocks_consumed, 0u);
+  EXPECT_TRUE(cold.answer->report.stopped_early);
+  ASSERT_GT(cold.events.size(), 1u);
+  for (const StreamProgress& p : cold.events) {
+    EXPECT_EQ(p.cache, "miss");
+  }
+  EXPECT_TRUE(cold.events.back().final_batch);
+
+  // Repeat: the stored FINAL, zero blocks, one terminal callback.
+  const Run hit = run(at_5);
+  ASSERT_TRUE(hit.answer.ok()) << hit.answer.status().ToString();
+  EXPECT_EQ(hit.answer->report.cache, "hit");
+  EXPECT_EQ(hit.answer->report.family, "leveled");
+  EXPECT_EQ(hit.answer->report.blocks_consumed, 0u);
+  EXPECT_EQ(hit.answer->result.rows[0].aggregates[0].value,
+            cold.answer->result.rows[0].aggregates[0].value);
+  ASSERT_EQ(hit.events.size(), 1u);
+  EXPECT_TRUE(hit.events[0].final_batch);
+  EXPECT_EQ(hit.events[0].cache, "hit");
+  EXPECT_EQ(hit.events[0].blocks_consumed, 0u);
+
+  // A tighter bound the entry cannot meet re-runs cold: final-only entries
+  // carry no resumable prefix.
+  const Run tighter = run(
+      "SELECT COUNT(*) FROM sessions WHERE country = 'country_1' "
+      "ERROR WITHIN 1% AT CONFIDENCE 95%");
+  ASSERT_TRUE(tighter.answer.ok()) << tighter.answer.status().ToString();
+  EXPECT_EQ(tighter.answer->report.cache, "miss");
+  EXPECT_GT(tighter.answer->report.blocks_consumed,
+            cold.answer->report.blocks_consumed);
+  for (const StreamProgress& p : tighter.events) {
+    EXPECT_EQ(p.cache, "miss");
+  }
+  EXPECT_EQ(cache.stats().resumes, 0u);
+
+  // A publication retires every entry of the old level set.
+  AppendBatch(db, rng);
+  const Run after_append = run(at_5);
+  ASSERT_TRUE(after_append.answer.ok()) << after_append.answer.status().ToString();
+  EXPECT_EQ(after_append.answer->report.cache, "miss");
+  EXPECT_GT(after_append.answer->report.blocks_consumed, 0u);
+
+  // Quantiles do not recombine across level pipelines.
+  const Run quantile = run(
+      "SELECT QUANTILE(sessiontimems, 0.5) FROM sessions "
+      "ERROR WITHIN 5% AT CONFIDENCE 95%");
+  EXPECT_EQ(quantile.answer.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(cache.stats().resumes, 0u);
 }
 
 TEST(WorkloadTest, ConvivaTableShape) {

@@ -4,8 +4,9 @@
 //    workers produces EXACTLY (%.17g) the answer the in-process reference
 //    rebuilds from the same per-shard serving state and the recorded
 //    per-shard consumed prefixes — for N in {2, 3}, across worker thread
-//    counts, for plain and grouped aggregates; and the per-shard prefixes
-//    in the report sum to the combined blocks_consumed.
+//    counts, for plain and grouped aggregates; the per-shard prefixes in
+//    the report sum to the combined blocks_consumed; and the progress
+//    stream ends in one final_batch event carrying the report's totals.
 //  - Unpaced scatter: an unbounded query one-shots every worker and still
 //    combines bit-identically.
 //  - Degrade, never hang: a worker that drops its connection mid-stream or
@@ -101,13 +102,40 @@ Fleet StartFleet(size_t n, size_t exec_threads) {
 
 // The acceptance check: scatter `sql`, rebuild in-process at the recorded
 // prefixes, require %.17g-identical answers and conserved block accounting.
+// The progress stream must end in exactly one final_batch event that
+// carries the report's totals.
 void ExpectBitIdentical(size_t n, size_t exec_threads, const std::string& sql) {
   SCOPED_TRACE("n=" + std::to_string(n) + " threads=" + std::to_string(exec_threads));
   Fleet fleet = StartFleet(n, exec_threads);
   Coordinator coordinator(fleet.options);
-  auto distributed = coordinator.Execute(sql);
+  std::vector<StreamProgress> events;
+  auto distributed =
+      coordinator.Execute(sql, [&events](const QueryResult&, const StreamProgress& p) {
+        events.push_back(p);
+      });
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
   ASSERT_EQ(distributed->report.pipeline_outcomes.size(), n);
+
+  const ExecutionReport& report = distributed->report;
+  ASSERT_FALSE(events.empty());
+  for (size_t e = 0; e + 1 < events.size(); ++e) {
+    EXPECT_FALSE(events[e].final_batch) << "event " << e;
+  }
+  const StreamProgress& terminal = events.back();
+  EXPECT_TRUE(terminal.final_batch);
+  uint64_t blocks_total = 0;
+  for (const PipelineOutcome& outcome : report.pipeline_outcomes) {
+    blocks_total += outcome.blocks_total;
+  }
+  EXPECT_EQ(terminal.blocks_consumed, report.blocks_consumed);
+  EXPECT_EQ(terminal.blocks_total, blocks_total);
+  EXPECT_EQ(terminal.rows_consumed, report.rows_read);
+  EXPECT_EQ(terminal.achieved_error, report.achieved_error);
+  EXPECT_EQ(terminal.bound_met,
+            report.effective_error_bound > 0.0 &&
+                report.achieved_error <= report.effective_error_bound);
+  EXPECT_EQ(terminal.bytes_scanned, report.bytes_scanned);
+  EXPECT_EQ(terminal.bytes_decoded, report.bytes_decoded);
 
   uint64_t prefix_sum = 0;
   std::vector<ShardReference> shards(n);

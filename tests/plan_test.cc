@@ -298,6 +298,25 @@ TEST(UnionCombinerTest, AppendsHiddenCountForAvgOnlyQueries) {
                    (10.0 * 50.0 + 20.0 * 150.0) / 200.0);
 }
 
+TEST(UnionCombinerTest, AvgOverPartsThatAllMatchedNothingIsTheEmptyEstimate) {
+  auto stmt = ParseSelect("SELECT AVG(v) FROM t WHERE a = 1 OR a = 2");
+  ASSERT_TRUE(stmt.ok());
+  UnionCombiner combiner(*stmt);
+  ASSERT_TRUE(combiner.append_count());
+  // Every part matched nothing: AVG {0, 0} and hidden COUNT {0, 0} each. The
+  // union mean is undefined, so the cell is the empty estimate — what a
+  // single-pipeline StratifiedAvg returns for the same cell — and never NaN.
+  const std::vector<QueryResult> parts = {
+      OneRowResult({{0.0, 0.0}, {0.0, 0.0}}),
+      OneRowResult({{0.0, 0.0}, {0.0, 0.0}}),
+  };
+  const QueryResult combined = combiner.Combine(parts, 0.95);
+  ASSERT_EQ(combined.rows.size(), 1u);
+  ASSERT_EQ(combined.rows[0].aggregates.size(), 1u);
+  EXPECT_EQ(combined.rows[0].aggregates[0].value, 0.0);
+  EXPECT_EQ(combined.rows[0].aggregates[0].variance, 0.0);
+}
+
 TEST(UnionCombinerTest, DisjointGroupsUnionAndSortDeterministically) {
   auto stmt = ParseSelect("SELECT s, COUNT(*) FROM t WHERE a = 1 OR a = 2 GROUP BY s");
   ASSERT_TRUE(stmt.ok());

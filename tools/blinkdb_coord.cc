@@ -150,8 +150,7 @@ int RunSelfcheck(blink::Coordinator& coordinator, const std::string& sql,
     shards[i].consumed_blocks = outcomes[i].blocks_consumed;
   }
   auto reference = RunShardedReference(sql, shards, runtime_config,
-                                       coordinator.options().round_blocks,
-                                       coordinator.options().default_confidence);
+                                       coordinator.options().round_blocks);
   if (!reference.ok()) {
     std::fprintf(stderr, "selfcheck: reference run failed: %s\n",
                  reference.status().ToString().c_str());
