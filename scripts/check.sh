@@ -136,8 +136,34 @@ done
   | tee "$COORD_OUT"
 grep -q '^selfcheck: OK' "$COORD_OUT" ||
   { echo "distributed answer not bit-identical to the in-process reference"; exit 1; }
-kill "$W0_PID" "$W1_PID" 2>/dev/null || true
 echo "coordinator smoke OK"
+
+echo "== coordinator smoke: 50 back-to-back queries on one front session =="
+# Serve mode over the same two workers: one blinkdb_cli REPL session sends 50
+# bounded queries, each as soon as the previous FINAL arrives. Every one must
+# end in a sharded FINAL; a QUERY that reaches the front before it has
+# marked the previous query done would draw ERROR BUSY.
+COORD_PORT_FILE="$(mktemp)"
+"$BUILD_DIR"/blinkdb_coord \
+  --workers "127.0.0.1:$(cat "$W0_PORT_FILE"),127.0.0.1:$(cat "$W1_PORT_FILE")" \
+  --port-file "$COORD_PORT_FILE" >/dev/null 2>&1 &
+COORD_PID=$!
+trap 'kill "$SERVER_PID" "$W0_PID" "$W1_PID" "$COORD_PID" 2>/dev/null || true;
+      rm -f "$PORT_FILE" "$SMOKE_OUT" "$SMOKE_OUT2" \
+            "$W0_PORT_FILE" "$W1_PORT_FILE" "$COORD_OUT" "$COORD_PORT_FILE"' EXIT
+for _ in $(seq 1 100); do
+  [ -s "$COORD_PORT_FILE" ] && break
+  sleep 0.2
+done
+[ -s "$COORD_PORT_FILE" ] || { echo "coordinator never wrote its port"; exit 1; }
+for i in $(seq 1 50); do
+  echo "SELECT AVG(bitrate) FROM sessions WHERE city = 'city_$((i % 20))' ERROR WITHIN 10% AT CONFIDENCE 95%"
+done | "$BUILD_DIR"/blinkdb_cli --port "$(cat "$COORD_PORT_FILE")" >"$COORD_OUT"
+FINALS="$(grep -c 'FINAL family=sharded' "$COORD_OUT" || true)"
+! grep -q 'ERROR' "$COORD_OUT" || { grep 'ERROR' "$COORD_OUT"; echo "a front query failed"; exit 1; }
+[ "$FINALS" -eq 50 ] || { echo "$FINALS of 50 queries ended in a sharded FINAL"; exit 1; }
+kill "$COORD_PID" "$W0_PID" "$W1_PID" 2>/dev/null || true
+echo "coordinator front smoke OK"
 
 echo "== ingest smoke: append mid-stream, repeat query sees the rows =="
 # Streaming-ingest wire contract (docs/PROTOCOL.md §3.8): boot a fresh demo
@@ -150,9 +176,9 @@ INGEST_COLD="$(mktemp)"
 INGEST_WARM="$(mktemp)"
 "$BUILD_DIR"/blinkdb_server --rows 40000 --port-file "$INGEST_PORT_FILE" >/dev/null 2>&1 &
 INGEST_PID=$!
-trap 'kill "$SERVER_PID" "$W0_PID" "$W1_PID" "$INGEST_PID" 2>/dev/null || true;
+trap 'kill "$SERVER_PID" "$W0_PID" "$W1_PID" "$COORD_PID" "$INGEST_PID" 2>/dev/null || true;
       rm -f "$PORT_FILE" "$SMOKE_OUT" "$SMOKE_OUT2" \
-            "$W0_PORT_FILE" "$W1_PORT_FILE" "$COORD_OUT" \
+            "$W0_PORT_FILE" "$W1_PORT_FILE" "$COORD_OUT" "$COORD_PORT_FILE" \
             "$INGEST_PORT_FILE" "$INGEST_COLD" "$INGEST_WARM"' EXIT
 for _ in $(seq 1 100); do
   [ -s "$INGEST_PORT_FILE" ] && break
@@ -206,20 +232,20 @@ else
   echo "sanitizers clean"
 fi
 
-echo "== sanitizers: server + cache + admission + ingest under TSan =="
-# The admission queue, answer cache, morsel executor, and the streaming
-# ingest path (appends/merges racing pinned streamed queries) are the
-# concurrency hot spots; run their tests under ThreadSanitizer in a separate
-# build tree. Shares the BLINK_SANITIZE=off escape hatch for toolchains
-# without libtsan.
+echo "== sanitizers: server + coordinator + cache + admission + ingest under TSan =="
+# The admission queue, answer cache, morsel executor, the streaming ingest
+# path (appends/merges racing pinned streamed queries) and the coordinator
+# front's session and query threads are the concurrency hot spots; run their
+# tests under ThreadSanitizer in a separate build tree. Shares the
+# BLINK_SANITIZE=off escape hatch for toolchains without libtsan.
 if [ "$SAN" = "off" ]; then
   echo "BLINK_SANITIZE=off; skipping TSan build"
 else
   cmake -B "$BUILD_DIR-tsan" -S . -DBLINK_SANITIZE=thread >/dev/null
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS" --target \
-    server_test answer_cache_test cache_resume_test parallel_exec_test ingest_test
+    server_test coord_test answer_cache_test cache_resume_test parallel_exec_test ingest_test
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j "$JOBS" \
-    -R '^(server_test|answer_cache_test|cache_resume_test|parallel_exec_test|ingest_test)$'
+    -R '^(server_test|coord_test|answer_cache_test|cache_resume_test|parallel_exec_test|ingest_test)$'
   echo "tsan clean"
 fi
 

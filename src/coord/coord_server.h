@@ -5,10 +5,11 @@
 // streams back as a PARTIAL frame and the combined answer as the FINAL.
 //
 // Scope: queries on one session run serially (the coordinator drives one
-// scatter at a time), and CANCEL is honored between rounds of the active
-// query via the session's cancel flag. The degrade-don't-block invariant
-// lives in the Coordinator itself — a stalled or dead worker widens the
-// answer's CI, it never wedges this front.
+// scatter at a time): a QUERY sent after the previous query's FINAL or ERROR
+// always starts, one sent while a query is in flight draws BUSY. CANCEL is
+// honored between rounds of the active query via the session's cancel flag.
+// The degrade-don't-block invariant lives in the Coordinator itself — a
+// stalled or dead worker widens the answer's CI, it never wedges this front.
 #ifndef BLINKDB_COORD_COORD_SERVER_H_
 #define BLINKDB_COORD_COORD_SERVER_H_
 
@@ -22,6 +23,7 @@
 
 #include "src/coord/coordinator.h"
 #include "src/server/net.h"
+#include "src/server/protocol.h"
 
 namespace blink {
 
@@ -51,7 +53,13 @@ class CoordServer {
   struct Session;
 
   void AcceptLoop();
+  // A session's reader thread: dispatches frames until EOF, then stops and
+  // joins the in-flight query and closes the socket.
   void ServeSession(Session* session);
+  // Handles one decoded client frame; false closes the session.
+  bool Dispatch(Session* session, const Frame& frame);
+  // A session's query thread: one scatter, its PARTIALs, then FINAL or ERROR.
+  void RunQuery(Session* session, const QueryFrame& query);
 
   CoordServerOptions options_;
   std::vector<std::string> tables_;

@@ -13,6 +13,9 @@ AdmissionController::AdmissionController(const SampleStore* store,
                                          AdmissionOptions options)
     : options_(std::move(options)),
       pool_(store, cluster, config, std::max<size_t>(1, workers)) {
+  // Every worker counts as idle from the start, not from when its thread
+  // first parks: a Submit right after construction must find room.
+  idle_ = pool_.size();
   workers_.reserve(pool_.size());
   for (size_t i = 0; i < pool_.size(); ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -76,9 +79,7 @@ void AdmissionController::WorkerLoop() {
     Decision decision;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ++idle_;
       ready_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      --idle_;
       if (stopping_) {
         return;
       }
@@ -112,6 +113,7 @@ void AdmissionController::WorkerLoop() {
         continue;
       }
       ++running_[ticket.client];
+      --idle_;
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     if (decision.shed_rung > 0) {
@@ -127,6 +129,7 @@ void AdmissionController::WorkerLoop() {
       if (r != running_.end() && --r->second == 0) {
         running_.erase(r);
       }
+      ++idle_;
     }
   }
 }

@@ -118,7 +118,7 @@ class AdmissionController {
   std::deque<Ticket> queue_;
   // Tickets currently executing per client, for the fairness preference.
   std::unordered_map<uint64_t, size_t> running_;
-  size_t idle_ = 0;  // workers parked on ready_cv_, guarded by mu_
+  size_t idle_ = 0;  // workers not running a ticket, guarded by mu_
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

@@ -7,33 +7,19 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 namespace blink {
 namespace {
 
 std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
-}
-
-// Full write with EINTR retry; MSG_NOSIGNAL keeps a dead peer from raising
-// SIGPIPE in a multi-session server.
-Status WriteAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::Internal(Errno("send"));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 // Full read with EINTR retry. Returns the byte count read, which is short
@@ -120,6 +106,28 @@ Result<OwnedFd> ListenTcp(const std::string& host, uint16_t port,
   return fd;
 }
 
+Result<OwnedFd> AcceptTcp(int listener, const std::atomic<bool>& running) {
+  for (;;) {
+    OwnedFd fd(::accept(listener, nullptr, nullptr));
+    if (fd.valid()) {
+      const int one = 1;
+      ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      timeval timeout{};
+      timeout.tv_sec = kSessionSendTimeoutSeconds;
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+      return fd;
+    }
+    const int error = errno;
+    if (!running.load()) {
+      return Status::FailedPrecondition("listener shut down");
+    }
+    if (error != EINTR && error != ECONNABORTED) {
+      // EMFILE/ENFILE and the like: wait for descriptors to free up.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+}
+
 Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -173,8 +181,34 @@ Status WriteFrame(int fd, std::string_view payload) {
   char header[4] = {static_cast<char>((n >> 24) & 0xFF),
                     static_cast<char>((n >> 16) & 0xFF),
                     static_cast<char>((n >> 8) & 0xFF), static_cast<char>(n & 0xFF)};
-  BLINK_RETURN_IF_ERROR(WriteAll(fd, header, sizeof(header)));
-  return WriteAll(fd, payload.data(), payload.size());
+  iovec parts[2] = {{header, sizeof(header)},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL keeps a dead peer from raising SIGPIPE in a
+    // multi-session server.
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return Status::Internal(Errno("sendmsg"));
+    }
+    // Short write: skip the parts sent in full, then trim the one cut.
+    size_t left = static_cast<size_t>(sent);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (left > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
+  }
+  return Status::Ok();
 }
 
 Result<std::optional<std::string>> ReadFrame(int fd, uint32_t max_bytes) {

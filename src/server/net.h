@@ -9,6 +9,7 @@
 #ifndef BLINKDB_SERVER_NET_H_
 #define BLINKDB_SERVER_NET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,7 +49,24 @@ class OwnedFd {
 Result<OwnedFd> ListenTcp(const std::string& host, uint16_t port,
                           uint16_t* bound_port);
 
-// Connects to `host:port` (blocking).
+// Send timeout (SO_SNDTIMEO) on every accepted session socket: a client that
+// stops reading (its TCP window full) fails the blocked frame write after
+// this long instead of pinning the writing thread, and whatever it holds,
+// forever. The failed write cancels the session's query, which unwinds at its
+// next round boundary.
+constexpr int kSessionSendTimeoutSeconds = 30;
+
+// The one accept path of every server: accepts the next connection on
+// `listener` and gives it the options each session socket carries —
+// TCP_NODELAY (frames are small and latency-bound; Nagle's algorithm would
+// hold one back for the peer's delayed ACK) and the
+// kSessionSendTimeoutSeconds send timeout. Transient accept errors retry at
+// once; persistent ones (EMFILE/ENFILE under fd pressure) back off instead of
+// spinning a core. Returns an error only once `running` reads false, i.e.
+// when the server shut the listener down to stop.
+Result<OwnedFd> AcceptTcp(int listener, const std::atomic<bool>& running);
+
+// Connects to `host:port` (blocking) with TCP_NODELAY set.
 Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port);
 
 // Arms (or, with seconds <= 0, disarms) a receive timeout on `fd` via
@@ -57,8 +75,10 @@ Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port);
 // granularity is supported (the fraction maps to microseconds).
 Status SetRecvTimeout(int fd, double seconds);
 
-// Writes one length-prefixed frame (loops over partial writes; EPIPE and
-// friends surface as a Status error, never a signal).
+// Writes one length-prefixed frame. The header and the payload go to the
+// kernel in one call, so a frame leaves as one segment whatever the socket's
+// options; only a short write (a send timeout or signal partway through)
+// loops. EPIPE and friends surface as a Status error, never a signal.
 Status WriteFrame(int fd, std::string_view payload);
 
 // Reads one length-prefixed frame. Returns nullopt on clean EOF at a frame

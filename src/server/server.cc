@@ -1,13 +1,8 @@
 #include "src/server/server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <limits>
 #include <memory>
@@ -600,24 +595,9 @@ void BlinkServer::Stop() {
 
 void BlinkServer::AcceptLoop() {
   for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) {
-        return;
-      }
-      if (errno != EINTR && errno != ECONNABORTED) {
-        // Persistent failure (EMFILE/ENFILE under fd pressure): back off
-        // instead of hot-looping at 100% CPU until fds free up.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.write_timeout_seconds > 0) {
-      timeval timeout{};
-      timeout.tv_sec = options_.write_timeout_seconds;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    auto fd = AcceptTcp(listener_.get(), running_);
+    if (!fd.ok()) {
+      return;  // Stop() shut the listener down
     }
     const uint64_t session_id = sessions_accepted_.fetch_add(1) + 1;
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -630,7 +610,7 @@ void BlinkServer::AcceptLoop() {
         ++it;
       }
     }
-    sessions_.push_back(std::make_unique<Session>(this, OwnedFd(fd), session_id));
+    sessions_.push_back(std::make_unique<Session>(this, std::move(*fd), session_id));
   }
 }
 

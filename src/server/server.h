@@ -70,12 +70,6 @@ struct ServerOptions {
   // Answer-cache entries shared by every runtime in the pool; 0 disables
   // caching (every query executes cold, the pre-cache behavior).
   size_t answer_cache_entries = 256;
-  // SO_SNDTIMEO on session sockets: a client that stops reading (TCP buffer
-  // full) fails the blocked frame write after this long instead of pinning
-  // the query thread — and its runtime lease — forever. The failed write
-  // flips the session's cancel flag, so the query unwinds at the next round
-  // boundary and the lease frees. 0 disables the timeout.
-  unsigned write_timeout_seconds = 30;
   // Idle read timeout (SO_RCVTIMEO on session sockets): a session whose
   // client sends nothing for this long while it has no queries in flight is
   // closed, reclaiming the reader thread a half-open client would otherwise

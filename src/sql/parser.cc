@@ -351,7 +351,14 @@ class Parser {
 
   Result<Predicate> ParsePrimary() {
     if (TryConsumeSymbol("(")) {
+      if (nesting_ == kMaxPredicateNesting) {
+        return Status::InvalidArgument(
+            "predicate nests deeper than " + std::to_string(kMaxPredicateNesting) +
+            " parentheses at offset " + std::to_string(Peek().position));
+      }
+      ++nesting_;
       auto inner = ParsePredicate();
+      --nesting_;
       if (!inner.ok()) {
         return inner;
       }
@@ -405,6 +412,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t nesting_ = 0;  // open parentheses around the predicate being parsed
 };
 
 }  // namespace

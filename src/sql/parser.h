@@ -12,6 +12,7 @@
 #ifndef BLINKDB_SQL_PARSER_H_
 #define BLINKDB_SQL_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "src/sql/ast.h"
@@ -19,8 +20,14 @@
 
 namespace blink {
 
+// Deepest parenthesis nesting a predicate may have. The parser recurses once
+// per level, so without a bound one hostile WHERE (10,000 levels is ~20 KB of
+// SQL) overflows the parsing thread's stack and kills the server; 256 is far
+// past any hand-written query.
+constexpr size_t kMaxPredicateNesting = 256;
+
 // Parses one SELECT statement. Returns InvalidArgument with a position-tagged
-// message on syntax errors.
+// message on syntax errors and on nesting past kMaxPredicateNesting.
 Result<SelectStatement> ParseSelect(std::string_view sql);
 
 }  // namespace blink

@@ -16,14 +16,20 @@
 //    that dies before its FIRST answer fails the query (its strata are
 //    unobserved). Faulty workers are scripted raw-socket peers, so the
 //    fault points are deterministic.
+//  - Protocol front: scattered queries stream over the ordinary wire
+//    protocol, back-to-back queries on one session never draw BUSY, and a
+//    closed session releases its socket at once.
 //  - Protocol: GRANT and the pacing/shard handshake fields round-trip.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <variant>
@@ -221,8 +227,11 @@ class FaultyWorker {
     if (listener_.valid()) {
       ::shutdown(listener_.get(), SHUT_RDWR);
     }
-    if (conn_.valid()) {
-      ::shutdown(conn_.get(), SHUT_RDWR);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (conn_.valid()) {
+        ::shutdown(conn_.get(), SHUT_RDWR);
+      }
     }
     if (thread_.joinable()) {
       thread_.join();
@@ -255,7 +264,10 @@ class FaultyWorker {
     if (fd < 0) {
       return;
     }
-    conn_ = OwnedFd(fd);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      conn_ = OwnedFd(fd);
+    }
     uint64_t seq = 0;
     uint64_t rounds_granted = 0;
     for (;;) {
@@ -284,6 +296,7 @@ class FaultyWorker {
       } else if (frame->type == FrameType::kGrant) {
         const auto& grant = std::get<GrantFrame>(frame->payload);
         if (++rounds_granted >= 2) {
+          std::lock_guard<std::mutex> lock(conn_mu_);
           conn_.Close();  // kKill: drop mid-stream after two honored rounds
           return;
         }
@@ -296,6 +309,9 @@ class FaultyWorker {
   uint64_t shard_index_;
   uint64_t shard_count_;
   OwnedFd listener_;
+  // Written by the serving thread, shut down by the destructor. The serving
+  // thread alone reads and writes through it, so only those two lock.
+  std::mutex conn_mu_;
   OwnedFd conn_;
   uint16_t port_ = 0;
   std::thread thread_;
@@ -437,6 +453,68 @@ TEST(CoordServerFront, ServesScatteredQueriesOverTheWireProtocol) {
   auto expected = direct.Execute(sql);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(ResultFingerprint(outcome->result), ResultFingerprint(expected->result));
+  front.Stop();
+}
+
+// The front clears a session's active flag before the FINAL leaves, so a
+// client that sends its next QUERY the moment it reads a FINAL never draws
+// BUSY. A front that cleared it after the FINAL (with TCP_NODELAY removing
+// the delay that used to hide the race) drew 1 BUSY in 6,000 such queries.
+// The race depends on timing, so a buggy front can pass this test by luck;
+// a fixed one never fails it.
+TEST(CoordServerFront, BackToBackQueriesOnOneSessionNeverDrawBusy) {
+  Fleet fleet = StartFleet(2, 1);
+  CoordServer front(fleet.options);
+  ASSERT_TRUE(front.Start().ok());
+  BlinkClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", front.port(), "coord_test/1").ok());
+  const std::string sql =
+      "SELECT COUNT(*) FROM sessions WHERE city = 'city_3' "
+      "ERROR WITHIN 50% AT CONFIDENCE 95%";
+  constexpr int kQueries = 2'000;
+  int failed = 0;
+  std::string first_failure;
+  for (int i = 0; i < kQueries; ++i) {
+    auto outcome = client.Query(sql);
+    if (!outcome.ok()) {
+      if (failed++ == 0) {
+        first_failure = "query " + std::to_string(i) + ": " + outcome.status().ToString();
+      }
+    }
+  }
+  EXPECT_EQ(failed, 0) << first_failure;
+  front.Stop();
+}
+
+// Open descriptors of this process.
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A closed client session gives its socket back when its reader sees the
+// EOF, not at Stop(): 200 connect/close cycles used to leave 200 descriptors
+// (and finished threads) behind until the front stopped.
+TEST(CoordServerFront, ClosedSessionsReleaseTheirSockets) {
+  Fleet fleet = StartFleet(2, 1);
+  CoordServer front(fleet.options);
+  ASSERT_TRUE(front.Start().ok());
+  const size_t before = OpenFds();
+  for (int i = 0; i < 200; ++i) {
+    BlinkClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", front.port(), "coord_test/1").ok());
+  }  // ~BlinkClient closes
+  // The last readers may still be between the EOF and the close.
+  size_t after = OpenFds();
+  for (int wait = 0; wait < 500 && after > before + 2; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = OpenFds();
+  }
+  EXPECT_LE(after, before + 2) << "before " << before;
   front.Stop();
 }
 

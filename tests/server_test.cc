@@ -18,13 +18,22 @@
 //    a round boundary with FINAL(cancelled=true), the server keeps serving,
 //    and the cancelled query is charged only for consumed blocks — both
 //    over the wire and at the runtime layer.
+//  - Transport: accepted sockets carry TCP_NODELAY and the session send
+//    timeout, a frame survives short writes byte for byte, and EOF inside a
+//    frame is DataLoss. A WHERE nested past the parser's bound draws
+//    QUERY_FAILED instead of crashing the server.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <future>
 #include <string>
 #include <thread>
@@ -400,6 +409,26 @@ using Decision = AdmissionController::Decision;
 // With the only worker parked on a latch and the queue filled to depth, the
 // backlog drains through descending shed rungs — the most-pressured pops are
 // widened the most — and a submit past depth is rejected outright.
+// With no waiting room, a query submitted the moment the controller exists
+// still runs: its worker counts as idle before its thread first parks. When
+// idleness was counted from the park, this Submit could draw BUSY, and
+// ServerTest.QueueFullDrawsBusy hung waiting for a FINAL that never came.
+TEST(AdmissionControllerTest, FreshControllerAdmitsWithoutWaitingRoom) {
+  ServedFixture& fx = ServedFixture::Get();
+  AdmissionOptions options;
+  options.queue_depth = 0;
+  for (int round = 0; round < 20; ++round) {
+    AdmissionController admission(&fx.db.samples(), &fx.db.cluster(), ServedConfig(),
+                                  /*workers=*/1, options);
+    std::promise<void> ran;
+    ASSERT_TRUE(admission.Submit(
+        1, [&ran](const QueryRuntime&, const Decision&) { ran.set_value(); },
+        [](const char*, const std::string&) {}))
+        << "round " << round;
+    ran.get_future().wait();
+  }
+}
+
 TEST(AdmissionControllerTest, QueuePressureWidensBoundsThenRejects) {
   ServedFixture& fx = ServedFixture::Get();
   AdmissionOptions options;
@@ -665,6 +694,26 @@ TEST(ServerTest, MalformedFramesDrawErrorWithoutKillingSession) {
   EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnexpectedFrame);
 
   // The session survived all three: a real query still answers.
+  auto outcome = client.Query(kGroupedSql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome->result.rows.empty());
+}
+
+// One QUERY whose WHERE nests 10,000 parentheses used to overflow the
+// parsing admission worker's stack and kill the server. It now draws ERROR
+// QUERY_FAILED, and the same session goes on to a normal FINAL.
+TEST(ServerTest, DeeplyNestedWhereDrawsQueryFailedAndSessionSurvives) {
+  ServedFixture& fx = ServedFixture::Get();
+  BlinkClient client;
+  fx.Connect(client);
+  const std::string deep = "SELECT COUNT(*) FROM sessions WHERE " +
+                           std::string(10'000, '(') + "city = 'city_9'" +
+                           std::string(10'000, ')');
+  auto rejected = client.Query(deep);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message().rfind(wire_error::kQueryFailed, 0), 0u)
+      << rejected.status().ToString();
+
   auto outcome = client.Query(kGroupedSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(outcome->result.rows.empty());
@@ -1085,6 +1134,107 @@ TEST(NetTest, MidFrameEofIsDataLossNotCleanClose) {
   frame = ReadFrame(reader3.get());
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_FALSE(frame->has_value());
+}
+
+// Every server accepts through AcceptTcp, which gives each session socket
+// TCP_NODELAY (no Nagle hold on small frames) and the session send timeout.
+TEST(NetTest, AcceptedSocketsCarryNoDelayAndSendTimeout) {
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::atomic<bool> running{true};
+  auto accepted = AcceptTcp(listener->get(), running);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted->get(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+  timeval timeout{};
+  len = sizeof(timeout);
+  ASSERT_EQ(::getsockopt(accepted->get(), SOL_SOCKET, SO_SNDTIMEO, &timeout, &len), 0);
+  EXPECT_EQ(timeout.tv_sec, kSessionSendTimeoutSeconds);
+  EXPECT_EQ(timeout.tv_usec, 0);
+
+  // A stopped server's accept returns an error instead of retrying.
+  const std::atomic<bool> not_running{false};
+  ::shutdown(listener->get(), SHUT_RDWR);
+  EXPECT_FALSE(AcceptTcp(listener->get(), not_running).ok());
+}
+
+void IgnoreSignal(int) {}
+
+// WriteFrame hands header and payload to the kernel in one sendmsg and
+// resumes a short write from the right byte. A blocking send returns short
+// only when a signal or timeout cuts its wait for buffer space, so the
+// writer sends a 4 MiB frame through a shrunken send buffer while another
+// thread signals it every 100 us (a probe of this setup saw about a dozen
+// short writes per frame). The frame, and an empty frame after it, must read
+// back byte-identical. Signals that land before a call sends anything
+// exercise the EINTR retry.
+TEST(NetTest, ShortWritesResumeAtTheRightByte) {
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto reader_fd = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(reader_fd.ok()) << reader_fd.status().ToString();
+  const std::atomic<bool> running{true};
+  auto writer_fd = AcceptTcp(listener->get(), running);
+  ASSERT_TRUE(writer_fd.ok()) << writer_fd.status().ToString();
+  // 64 KiB: small enough that the 4 MiB frame waits on buffer space many
+  // times, large enough that it still crosses loopback in milliseconds.
+  const int small = 64 * 1024;
+  ASSERT_EQ(
+      ::setsockopt(writer_fd->get(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+
+  // No SA_RESTART: a signal ends the blocked sendmsg, short if bytes went.
+  struct sigaction action {};
+  action.sa_handler = IgnoreSignal;
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  std::string big(4u << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + i / 4099) & 0xFF);
+  }
+  // Reads frames until the writer's EOF. After a garbled frame it drains the
+  // rest, so a broken writer fails the checks below instead of blocking.
+  std::vector<std::string> received;
+  std::thread reader([&] {
+    for (;;) {
+      auto frame = ReadFrame(reader_fd->get());
+      if (!frame.ok() || !frame->has_value()) {
+        break;
+      }
+      received.push_back(std::move(**frame));
+    }
+    char sink[4096];
+    while (::recv(reader_fd->get(), sink, sizeof(sink), 0) > 0) {
+    }
+  });
+  std::atomic<bool> writing{true};
+  const pthread_t writer_thread = ::pthread_self();
+  std::thread kicker([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer_thread, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const Status big_write = WriteFrame(writer_fd->get(), big);
+  const Status empty_write = WriteFrame(writer_fd->get(), "");
+  writing.store(false);
+  ::shutdown(writer_fd->get(), SHUT_WR);
+  kicker.join();
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  ASSERT_TRUE(big_write.ok()) << big_write.ToString();
+  ASSERT_TRUE(empty_write.ok()) << empty_write.ToString();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_TRUE(received[0] == big) << "4 MiB frame came back altered";
+  EXPECT_TRUE(received[1].empty());
 }
 
 // --- Idle read timeout -------------------------------------------------------

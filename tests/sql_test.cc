@@ -205,6 +205,36 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseSelect("SELECT QUANTILE(x, 1.5) FROM t").ok());
 }
 
+// "SELECT COUNT(*) FROM t WHERE ((...(x = 1)...))" at `depth` parentheses.
+std::string NestedWhere(size_t depth) {
+  return "SELECT COUNT(*) FROM t WHERE " + std::string(depth, '(') + "x = 1" +
+         std::string(depth, ')');
+}
+
+// The parser recurses once per parenthesis, so nesting is bounded: before the
+// bound, 10,000 levels (~20 KB of SQL) overflowed an 8 MB thread stack.
+// Rejection happens at the first level past the bound, never deeper.
+TEST(ParserTest, PredicateNestingIsBounded) {
+  auto at_limit = ParseSelect(NestedWhere(kMaxPredicateNesting));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  ASSERT_TRUE(at_limit->where.has_value());
+  EXPECT_EQ(at_limit->where->kind, Predicate::Kind::kCompare);
+  EXPECT_EQ(at_limit->where->column, "x");
+
+  for (size_t depth : {kMaxPredicateNesting + 1, size_t{10'000}, size_t{100'000}}) {
+    auto deep = ParseSelect(NestedWhere(depth));
+    ASSERT_FALSE(deep.ok()) << depth << " levels parsed";
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument) << depth;
+  }
+  // The bound counts open parentheses, not their total: many shallow groups
+  // side by side still parse.
+  std::string wide = "SELECT COUNT(*) FROM t WHERE (x = 1)";
+  for (size_t i = 0; i < 2 * kMaxPredicateNesting; ++i) {
+    wide += " OR (x = 1)";
+  }
+  EXPECT_TRUE(ParseSelect(wide).ok());
+}
+
 TEST(ParserTest, TemplateColumnsFromWhereGroupByHaving) {
   auto stmt = ParseSelect(
       "SELECT COUNT(*) FROM t WHERE City = 'NY' AND Genre = 'a' "
