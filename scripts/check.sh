@@ -136,6 +136,17 @@ done
   | tee "$COORD_OUT"
 grep -q '^selfcheck: OK' "$COORD_OUT" ||
   { echo "distributed answer not bit-identical to the in-process reference"; exit 1; }
+# The two other query shapes coord_test covers in-process, on the same two
+# workers: a grouped paced query and an unbounded one-shot scatter.
+for SELFCHECK_SQL in \
+  "SELECT city, COUNT(*) FROM sessions WHERE bitrate > 2000 GROUP BY city ERROR WITHIN 10% AT CONFIDENCE 95%" \
+  "SELECT SUM(bitrate) FROM sessions WHERE city = 'city_3'"; do
+  "$BUILD_DIR"/blinkdb_coord \
+    --workers "127.0.0.1:$(cat "$W0_PORT_FILE"),127.0.0.1:$(cat "$W1_PORT_FILE")" \
+    --rows 30000 --selfcheck --query "$SELFCHECK_SQL" | tee "$COORD_OUT"
+  grep -q '^selfcheck: OK' "$COORD_OUT" ||
+    { echo "not bit-identical to the in-process reference: $SELFCHECK_SQL"; exit 1; }
+done
 echo "coordinator smoke OK"
 
 echo "== coordinator smoke: 50 back-to-back queries on one front session =="
@@ -162,6 +173,12 @@ done | "$BUILD_DIR"/blinkdb_cli --port "$(cat "$COORD_PORT_FILE")" >"$COORD_OUT"
 FINALS="$(grep -c 'FINAL family=sharded' "$COORD_OUT" || true)"
 ! grep -q 'ERROR' "$COORD_OUT" || { grep 'ERROR' "$COORD_OUT"; echo "a front query failed"; exit 1; }
 [ "$FINALS" -eq 50 ] || { echo "$FINALS of 50 queries ended in a sharded FINAL"; exit 1; }
+# A sharded FINAL carries its slowest shard's modeled execution time. A shard
+# whose probe already covered its whole sample reuses that answer and charges
+# 0 execution (probe time instead), so single FINALs may read 0.0 us, but the
+# shards' latencies must reach some report.
+grep 'FINAL family=sharded' "$COORD_OUT" | grep -qv 'exec=0.0 us' ||
+  { echo "every sharded FINAL reports exec=0.0 us"; exit 1; }
 kill "$COORD_PID" "$W0_PID" "$W1_PID" 2>/dev/null || true
 echo "coordinator front smoke OK"
 

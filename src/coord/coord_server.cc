@@ -211,11 +211,11 @@ bool CoordServer::Dispatch(Session* session, const Frame& frame) {
 
 void CoordServer::RunQuery(Session* session, const QueryFrame& query) {
   uint64_t seq = 0;
+  // Every gathered round streams as a PARTIAL, the driver's last one too:
+  // the FINAL leaves only after the live shards' FINALs are gathered, and a
+  // query answered in one round still streams its answer at once.
   ProgressCallback progress = [session, &query, &seq](const QueryResult& partial,
                                                       const StreamProgress& p) {
-    if (p.final_batch) {
-      return;  // the FINAL frame carries the terminal answer
-    }
     PartialFrame frame_out;
     frame_out.id = query.id;
     frame_out.seq = ++seq;

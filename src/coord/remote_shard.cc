@@ -6,6 +6,7 @@ namespace blink {
 
 Status RemoteShard::Connect(const std::string& host, uint16_t port,
                             uint64_t expect_index, uint64_t expect_count) {
+  index_ = expect_index;
   auto fd = ConnectTcp(host, port);
   if (!fd.ok()) {
     return fd.status();
@@ -46,76 +47,108 @@ Status RemoteShard::Connect(const std::string& host, uint16_t port,
 }
 
 Status RemoteShard::StartQuery(uint64_t id, const std::string& sql,
-                               uint64_t round_blocks, uint64_t grant_blocks,
-                               double confidence) {
-  if (!fd_.valid()) {
-    return Status::FailedPrecondition("shard is not connected");
-  }
+                               uint64_t round_blocks, double confidence,
+                               double deadline_seconds) {
   query_id_ = id;
-  granted_ = grant_blocks;
+  granted_ = round_blocks;
+  deadline_seconds_ = deadline_seconds;
   paced_ = round_blocks > 0;
-  finished_ = false;
-  snapshot_.reset();
-  progress_ = StreamProgress{};
-  final_report_ = ExecutionReport{};
-  fault_.clear();
+  pending_ = true;  // round 1 (or the whole one-shot scan) rides the QUERY
   QueryFrame query;
   query.id = id;
   query.sql = sql;
   query.round_blocks = round_blocks;
-  query.grant_blocks = grant_blocks;
+  query.grant_blocks = round_blocks;
   query.confidence = confidence;
   return WriteFrame(fd_.get(), EncodeQuery(query));
 }
 
 Status RemoteShard::Grant(uint64_t blocks) {
-  if (!fd_.valid()) {
-    return Status::FailedPrecondition("shard is not connected");
+  const uint64_t target = progress_.blocks_consumed + blocks;
+  if (!paced_ || target <= granted_) {
+    return Status::Ok();  // one-shot scans ignore grants; round 1's rode the QUERY
   }
-  if (blocks > granted_) {
-    granted_ = blocks;
-  }
+  granted_ = target;
   GrantFrame grant;
   grant.id = query_id_;
-  grant.blocks = blocks;
-  return WriteFrame(fd_.get(), EncodeGrant(grant));
+  grant.blocks = target;
+  if (Status s = WriteFrame(fd_.get(), EncodeGrant(grant)); !s.ok()) {
+    fault_ = s.ToString();
+    return Freeze();
+  }
+  pending_ = true;
+  return Status::Ok();
 }
 
-Status RemoteShard::Cancel() {
-  if (!fd_.valid()) {
-    return Status::FailedPrecondition("shard is not connected");
+Status RemoteShard::Cancel(double deadline_seconds) {
+  if (complete()) {
+    return Status::Ok();
   }
   CancelFrame cancel;
   cancel.id = query_id_;
-  return WriteFrame(fd_.get(), EncodeCancel(cancel));
+  if (Status s = WriteFrame(fd_.get(), EncodeCancel(cancel)); !s.ok()) {
+    fault_ = s.ToString();
+    return Freeze();
+  }
+  deadline_seconds_ = deadline_seconds;
+  cancelled_ = true;
+  pending_ = true;
+  return Status::Ok();
 }
 
-Result<RemoteShard::PumpState> RemoteShard::Pump(double deadline_seconds) {
-  if (!fd_.valid()) {
-    return Status::FailedPrecondition("shard is not connected");
+Status RemoteShard::Freeze() {
+  fd_.Close();
+  if (!snapshot_.has_value()) {
+    return Status::Internal("shard " + std::to_string(index_) +
+                            " failed before its first answer (" + fault_ +
+                            "); its strata are unobserved");
   }
-  BLINK_RETURN_IF_ERROR(SetRecvTimeout(fd_.get(), deadline_seconds));
+  degraded_ = true;
+  return Status::Ok();
+}
+
+Result<QueryResult> RemoteShard::Snapshot() const {
+  if (!snapshot_.has_value()) {
+    return Status::FailedPrecondition("shard " + std::to_string(index_) +
+                                      " has not answered yet");
+  }
+  return *snapshot_;
+}
+
+PipelineOutcome RemoteShard::Outcome() const {
+  PipelineOutcome out;
+  out.blocks_total = progress_.blocks_total;
+  out.blocks_consumed = progress_.blocks_consumed;
+  out.rows_consumed = progress_.rows_consumed;
+  out.rows_matched = snapshot_.has_value() ? snapshot_->stats.rows_matched : 0;
+  out.bytes_scanned = progress_.bytes_scanned;
+  out.bytes_decoded = progress_.bytes_decoded;
+  out.degraded = degraded_;
+  return out;
+}
+
+Status RemoteShard::Await() {
+  if (!pending_ || complete()) {
+    return Status::Ok();
+  }
+  pending_ = false;
+  BLINK_RETURN_IF_ERROR(SetRecvTimeout(fd_.get(), deadline_seconds_));
   for (;;) {
     auto payload = ReadFrame(fd_.get());
     if (!payload.ok()) {
-      // kDeadlineExceeded is the straggler case, anything else (kDataLoss,
-      // transport errors) a hard failure; both untrust the stream.
+      // A timeout is the straggler case, anything else (kDataLoss, transport
+      // errors) a hard failure; both untrust the stream.
       fault_ = payload.status().ToString();
-      fd_.Close();
-      return payload.status().code() == StatusCode::kDeadlineExceeded
-                 ? PumpState::kStalled
-                 : PumpState::kFailed;
+      return Freeze();
     }
     if (!payload->has_value()) {
       fault_ = "worker closed the connection mid-query";
-      fd_.Close();
-      return PumpState::kFailed;
+      return Freeze();
     }
     auto frame = DecodeFrame(**payload);
     if (!frame.ok()) {
       fault_ = frame.status().ToString();
-      fd_.Close();
-      return PumpState::kFailed;
+      return Freeze();
     }
     switch (frame->type) {
       case FrameType::kPartial: {
@@ -128,8 +161,8 @@ Result<RemoteShard::PumpState> RemoteShard::Pump(double deadline_seconds) {
         if (progress_.blocks_consumed >= progress_.blocks_total) {
           continue;  // dataset exhausted: the FINAL is already in flight
         }
-        if (paced_ && progress_.blocks_consumed >= granted_) {
-          return PumpState::kPaused;  // worker is waiting at its grant gate
+        if (paced_ && !cancelled_ && progress_.blocks_consumed >= granted_) {
+          return Status::Ok();  // worker is waiting at its grant gate
         }
         continue;  // mid-grant partial (multi-pipeline rounds); keep reading
       }
@@ -145,22 +178,30 @@ Result<RemoteShard::PumpState> RemoteShard::Pump(double deadline_seconds) {
         progress_.bytes_scanned = final_report_.bytes_scanned;
         progress_.bytes_decoded = final_report_.bytes_decoded;
         progress_.achieved_error = final_report_.achieved_error;
+        if (progress_.blocks_total == 0) {
+          // A worker that finished without streaming (a reused probe answer)
+          // reveals its dataset's size only here.
+          for (const auto& outcome : final_report_.pipeline_outcomes) {
+            progress_.blocks_total += outcome.blocks_total;
+          }
+          if (progress_.blocks_total == 0) {
+            progress_.blocks_total = final_report_.blocks_read;
+          }
+        }
         finished_ = true;
-        return PumpState::kFinished;
+        return Status::Ok();
       }
       case FrameType::kError: {
         const auto& error = std::get<ErrorFrame>(frame->payload);
         fault_ = error.code + ": " + error.message;
-        fd_.Close();
-        return PumpState::kFailed;
+        return Freeze();
       }
       default:
         // A worker never legitimately sends HELLO/QUERY/CANCEL/GRANT
         // mid-query; treat the stream as corrupt.
         fault_ = std::string("unexpected ") + FrameTypeName(frame->type) +
                  " frame from worker";
-        fd_.Close();
-        return PumpState::kFailed;
+        return Freeze();
     }
   }
 }

@@ -2,15 +2,26 @@
 // execution", docs/ARCHITECTURE.md "Distributed scatter/gather").
 //
 // A RemoteShard owns the TCP connection to one blinkdb_server worker playing
-// shard role i-of-N, and exposes the coordinator's view of one scattered
-// query: start it paced (round_blocks per round, cumulative grant), pump the
-// worker's frames until it pauses at its grant / finishes / fails / stalls
-// past the round deadline, raise the grant, cancel. The handle tracks the
-// worker's last combinable snapshot (the per-shard partial the cross-shard
-// union combiner folds) and the consumed-prefix progress behind it, so a
-// shard that dies or stalls can be finalized at that snapshot — a valid
-// block-prefix answer (PR 5 cancel invariant) — instead of blocking the
-// query.
+// shard role i-of-N, and is the plan driver's PipelineSource for that
+// worker's part of one scattered query (src/plan/pipeline_source.h): the
+// QUERY carries round 1's grant, Grant() raises the worker's cumulative grant
+// with a GRANT frame, and Await() reads the worker's frames until it pauses
+// at its grant, finishes, fails, or stalls past the deadline. The handle
+// keeps the worker's last combinable snapshot and the consumed-prefix
+// progress behind it.
+//
+// Degrade, never hang: a shard that stalls, drops its connection, or answers
+// ERROR after producing at least one snapshot freezes at that snapshot — a
+// valid block-prefix answer, as a cancelled query's is. A frozen shard is
+// complete and exhausted: it is never granted again, keeps contributing its
+// snapshot to every combine, and does not make the query count as stopped
+// early. A shard that fails before its FIRST snapshot fails the query: its
+// strata are entirely unobserved, so no unbiased combined estimate exists.
+//
+// The coordinator cannot see a worker's resolution boundaries, so a shard
+// keeps PipelineSource's defaults: a sample with no per-shard floor
+// (CanErrorStop() true, min_stop_blocks() 0); the joint guards of the stop
+// policy still apply to totals across shards.
 #ifndef BLINKDB_COORD_REMOTE_SHARD_H_
 #define BLINKDB_COORD_REMOTE_SHARD_H_
 
@@ -18,18 +29,17 @@
 #include <optional>
 #include <string>
 
+#include "src/plan/pipeline_source.h"
 #include "src/server/net.h"
 #include "src/server/protocol.h"
 
 namespace blink {
 
-class RemoteShard {
+class RemoteShard final : public PipelineSource {
  public:
   RemoteShard() = default;
   RemoteShard(const RemoteShard&) = delete;
   RemoteShard& operator=(const RemoteShard&) = delete;
-  RemoteShard(RemoteShard&&) = default;
-  RemoteShard& operator=(RemoteShard&&) = default;
 
   // Connects and performs the HELLO handshake, validating the worker's
   // announced shard role: expect_count == 0 accepts any role; otherwise the
@@ -38,56 +48,57 @@ class RemoteShard {
   Status Connect(const std::string& host, uint16_t port, uint64_t expect_index,
                  uint64_t expect_count);
 
-  bool connected() const { return fd_.valid(); }
   const HelloFrame& hello() const { return hello_; }
 
-  // Sends the scattered QUERY. round_blocks > 0 is the paced form (the
-  // worker streams rounds and pauses at its cumulative grant); 0 is a
-  // classic one-shot scatter (unbounded queries).
+  // Sends the scattered QUERY, once per handle. round_blocks > 0 is the
+  // paced form: the worker streams rounds of round_blocks and pauses at its
+  // cumulative grant, which the QUERY sets to one round. 0 is a classic
+  // one-shot scatter (unbounded queries) that ignores grants. Each later
+  // wait for the worker's next frame gives up after `deadline_seconds`.
   Status StartQuery(uint64_t id, const std::string& sql, uint64_t round_blocks,
-                    uint64_t grant_blocks, double confidence);
+                    double confidence, double deadline_seconds);
 
-  // Raises the worker's cumulative block grant (monotonic on the worker).
-  Status Grant(uint64_t blocks);
+  // Ends a live query: CANCEL, after which the next Await() reads the
+  // worker's FINAL, frozen at its consumed prefix and bit-identical to its
+  // last PARTIAL, waiting up to `deadline_seconds` per frame. No-op for a
+  // complete shard.
+  Status Cancel(double deadline_seconds);
 
-  // Requests cancellation; the worker answers with a FINAL frozen at its
-  // consumed prefix, bit-identical to its last PARTIAL.
-  Status Cancel();
-
-  enum class PumpState {
-    kPaused,    // worker sent the PARTIAL for its grant and is waiting
-    kFinished,  // FINAL arrived (data exhausted, or the post-CANCEL freeze)
-    kFailed,    // ERROR frame, connection drop, or stream corruption
-    kStalled,   // no frame within the deadline (straggler)
-  };
-
-  // Reads frames until the worker pauses at its grant, finishes, fails, or
-  // exceeds `deadline_seconds` without producing a frame. Updates the
-  // snapshot on every PARTIAL. kFailed/kStalled close the connection (after
-  // a timeout or mid-frame drop the stream cannot be trusted to re-sync);
-  // the snapshot survives for degraded finalization.
-  Result<PumpState> Pump(double deadline_seconds);
-
-  // The worker's latest combinable partial answer (last PARTIAL, or the
-  // FINAL once finished). Nullopt until the first frame with a result.
-  const std::optional<QueryResult>& snapshot() const { return snapshot_; }
-  const StreamProgress& progress() const { return progress_; }
-  // FINAL-only payload (valid once Pump returned kFinished).
+  // The FINAL's report (default-constructed until the FINAL arrives).
   const ExecutionReport& final_report() const { return final_report_; }
-  bool finished() const { return finished_; }
-  // Terminal failure/stall detail for per-shard attribution in the report.
-  const std::string& fault() const { return fault_; }
-  uint64_t granted() const { return granted_; }
 
-  void Close() { fd_.Close(); }
+  // PipelineSource: a grant raises the worker's cumulative grant to its
+  // consumed blocks plus `blocks`; round 1's already rides the QUERY. Await
+  // reads frames, keeping the snapshot of every PARTIAL, until the worker
+  // pauses at its grant (never after a CANCEL) or finishes; an ERROR frame,
+  // a dropped connection, a corrupt stream, or no frame within the deadline
+  // (a straggler) freezes the shard.
+  Status Grant(uint64_t blocks) override;
+  Status Await() override;
+  Result<QueryResult> Snapshot() const override;
+  PipelineOutcome Outcome() const override;
+  uint64_t rows_total() const override { return progress_.rows_total; }
+  // Inside a drive a FINAL only ends a worker's data (or reuses a probe
+  // answer), so a complete shard is also exhausted.
+  bool complete() const override { return finished_ || degraded_; }
 
  private:
+  // After a fault: closes the connection (after a timeout or a mid-frame
+  // drop the stream cannot be trusted to re-sync) and freezes the shard at
+  // its last snapshot, or fails the query when there is none.
+  Status Freeze();
+
   OwnedFd fd_;
   HelloFrame hello_;
+  uint64_t index_ = 0;
   uint64_t query_id_ = 0;
   uint64_t granted_ = 0;
+  double deadline_seconds_ = 0.0;
   bool paced_ = false;
+  bool pending_ = false;    // a grant or CANCEL awaits the worker's answer
+  bool cancelled_ = false;  // CANCEL sent: only the FINAL ends the wait
   bool finished_ = false;
+  bool degraded_ = false;  // frozen at its last snapshot after a fault
   std::optional<QueryResult> snapshot_;
   StreamProgress progress_;
   ExecutionReport final_report_;

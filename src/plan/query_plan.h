@@ -5,15 +5,18 @@
 // over its chosen dataset, a §4.1.2 disjunctive query is an N-pipeline plan
 // with one pipeline per DNF disjunct bound to its best-covering sample, and
 // the EXACT fallback is a 1-pipeline plan over the base table. One driver —
-// ExecutePlan — replaces both the bespoke per-disjunct recursion and the
-// conjunctive-only streaming loop: it interleaves block batches across
-// pipelines in scheduler-decided rounds (src/plan/scheduler.h: a fixed
-// round-robin, or error-attributed adaptive awards), folds per-pipeline
-// snapshots through the union combiner, and applies the StopPolicy to the
-// *joint* worst-case error of the combined answer, so an ERROR WITHIN
-// disjunctive query stops the moment the union estimate meets the bound and
-// a WITHIN n SECONDS query stops when its block budget — per-pipeline caps,
-// or one shared pool the scheduler drains adaptively — is spent.
+// ExecutePlan, whose round loop is DriveSources — runs every plan: it
+// interleaves block batches across pipelines in scheduler-decided rounds
+// (src/plan/scheduler.h: a fixed round-robin, or error-attributed adaptive
+// awards), folds per-pipeline snapshots through the union combiner, and
+// applies the StopPolicy to the *joint* worst-case error of the combined
+// answer, so an ERROR WITHIN disjunctive query stops the moment the union
+// estimate meets the bound and a WITHIN n SECONDS query stops when its block
+// budget — per-pipeline caps, or one shared pool the scheduler drains
+// adaptively — is spent. The loop drives PipelineSources
+// (src/plan/pipeline_source.h): a plan's own ScanPipelines, or the remote
+// shards of a distributed query, whose coordinator (src/coord/coordinator.h)
+// is a planner over the same loop.
 //
 // Determinism: granted pipelines advance in index order, each consumes its
 // own blocks in prefix order, and combination happens only on finished
@@ -33,6 +36,7 @@
 
 #include "src/exec/executor.h"
 #include "src/exec/incremental.h"
+#include "src/plan/pipeline_source.h"
 #include "src/plan/scan_pipeline.h"
 #include "src/plan/scheduler.h"
 #include "src/plan/union_combiner.h"
@@ -91,37 +95,6 @@ struct PlanOptions {
   bool export_state = false;
 };
 
-// Per-pipeline outcome, for the runtime's §4.4/latency accounting and the
-// scheduling diagnostics surfaced through ExecutionReport.
-struct PipelineOutcome {
-  uint64_t blocks_total = 0;
-  uint64_t blocks_consumed = 0;
-  uint64_t rows_consumed = 0;
-  uint64_t rows_matched = 0;
-  // Storage bytes the scan read (encoded bytes of the consumed blocks'
-  // touched columns on compressed tables) and the logical bytes those blocks
-  // decoded to. Equal on raw storage; their ratio is the realized compression
-  // win. 0 for reused probes, which scan nothing.
-  double bytes_scanned = 0.0;
-  double bytes_decoded = 0.0;
-  bool reused_probe = false;  // §4.4: nothing was scanned, the probe answered
-  // Rounds in which the scheduler granted this pipeline blocks (floor rounds
-  // included); 0 for precomputed pipelines, which never advance.
-  uint64_t scheduled_rounds = 0;
-  // This pipeline's normalized share of the joint error at return: its
-  // fraction of the dominating cell's variance, attributed through the union
-  // combiner's recombination rule. Shares sum to 1 across pipelines when a
-  // cell dominates; all 0 for single-pipeline plans, plans that could never
-  // stop, exact answers, and drives that never materialized per-round
-  // partials (a bare uniform budget with no error target or progress).
-  double error_contribution = 0.0;
-  // Distributed execution only (src/coord/): the shard behind this pipeline
-  // failed or stalled mid-query and was finalized at its last valid consumed
-  // prefix, so the combined answer carries a wider CI than a fault-free run
-  // would. Always false for in-process plans.
-  bool degraded = false;
-};
-
 struct PlanResult {
   QueryResult result;  // the combined answer
   std::vector<PipelineOutcome> pipelines;
@@ -142,10 +115,25 @@ struct PlanResult {
   std::vector<std::shared_ptr<const PipelineSnapshot>> states;
 };
 
-// Drives `plan` to completion (or to a joint stop). Pipelines are
-// materialized, advanced round-robin, snapshotted, combined, and evaluated
-// against the joint policy.
+// Drives `plan` to completion (or to a joint stop): builds one ScanPipeline
+// per spec, sizes each pipeline's round share from its block count and the
+// thread fan-out, runs DriveSources over them, and exports their states when
+// PlanOptions::export_state asks.
 Result<PlanResult> ExecutePlan(const QueryPlan& plan, const PlanOptions& options);
+
+// The plan driver's round loop over already-built sources, in-process scans
+// and remote shards alike: each round the scheduler grants blocks, every
+// grant goes out before any source is awaited, and the snapshots are cached,
+// combined, evaluated against the joint policy, attributed, and reported to
+// PlanOptions::progress (the last round as the one final_batch event).
+// `combiner` may be null only for a single source, whose snapshot then
+// passes through untouched. `round_shares[i]` is source i's blocks per
+// granted round. PlanOptions::exec, batch_blocks and export_state belong to
+// ExecutePlan and are ignored here.
+Result<PlanResult> DriveSources(const std::vector<PipelineSource*>& sources,
+                                const UnionCombiner* combiner,
+                                const PlanOptions& options,
+                                std::vector<uint64_t> round_shares);
 
 }  // namespace blink
 

@@ -201,6 +201,18 @@ double ScanPipeline::bytes_scanned() const {
   return total;
 }
 
+PipelineOutcome ScanPipeline::Outcome() const {
+  PipelineOutcome out;
+  out.blocks_total = blocks_total();
+  out.blocks_consumed = blocks_consumed();
+  out.rows_consumed = rows_consumed();
+  out.rows_matched = rows_matched();
+  out.bytes_scanned = bytes_scanned();
+  out.bytes_decoded = bytes_decoded();
+  out.reused_probe = precomputed();
+  return out;
+}
+
 Result<QueryResult> ScanPipeline::Snapshot() const {
   if (precomputed()) {
     return *spec_.precomputed;

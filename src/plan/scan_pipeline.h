@@ -3,13 +3,15 @@
 // (a sample resolution or the exact base table).
 //
 // A pipeline is the §4.1.2 unit of execution: a disjunctive query becomes one
-// pipeline per DNF disjunct, a conjunctive query is a 1-pipeline plan. The
-// plan driver (src/plan/query_plan.h) advances pipelines batch-by-batch in a
-// deterministic round-robin; each pipeline consumes its own blocks in prefix
-// order and folds per-block partials strictly in block-index order, so a
-// pipeline's running accumulators — and therefore any snapshot taken from
-// them — depend only on how many blocks it has consumed, never on the thread
-// count, the schedule, or how its batches interleave with other pipelines'.
+// pipeline per DNF disjunct, a conjunctive query is a 1-pipeline plan. It is
+// the in-process PipelineSource (src/plan/pipeline_source.h): the plan driver
+// (src/plan/query_plan.h) advances pipelines batch-by-batch in deterministic
+// rounds, and Grant() scans its blocks before it returns. Each pipeline
+// consumes its own blocks in prefix order and folds per-block partials
+// strictly in block-index order, so a pipeline's running accumulators — and
+// therefore any snapshot taken from them — depend only on how many blocks it
+// has consumed, never on the thread count, the schedule, or how its batches
+// interleave with other pipelines'.
 #ifndef BLINKDB_PLAN_SCAN_PIPELINE_H_
 #define BLINKDB_PLAN_SCAN_PIPELINE_H_
 
@@ -22,6 +24,7 @@
 #include "src/exec/aggregation.h"
 #include "src/exec/dataset.h"
 #include "src/exec/executor.h"
+#include "src/plan/pipeline_source.h"
 #include "src/sql/ast.h"
 #include "src/util/status.h"
 
@@ -70,7 +73,7 @@ struct PipelineSpec {
   std::shared_ptr<const PipelineSnapshot> resume;
 };
 
-class ScanPipeline {
+class ScanPipeline final : public PipelineSource {
  public:
   ScanPipeline() = default;
   ScanPipeline(const ScanPipeline&) = delete;
@@ -87,12 +90,17 @@ class ScanPipeline {
   // in parallel and folds their partials into the running accumulators in
   // block-index order. No-op once complete.
   void Advance(uint64_t blocks);
+  Status Grant(uint64_t blocks) override {
+    Advance(blocks);
+    return Status::Ok();
+  }
 
   // Finalizes the running accumulators over the consumed prefix. Complete
   // scans finalize against the dataset's own counts (bit-identical to the
   // one-shot executor by construction); stopped prefixes finalize against the
   // tallied n_h(prefix).
-  Result<QueryResult> Snapshot() const;
+  Result<QueryResult> Snapshot() const override;
+  PipelineOutcome Outcome() const override;
 
   // Exports the consumed-prefix state for cross-query reuse via
   // PipelineSpec::resume. Null for precomputed (§4.4 probe reuse carries its
@@ -102,35 +110,40 @@ class ScanPipeline {
 
   // The scan has nothing left to do: every block consumed, the block budget
   // exhausted, or a precomputed (§4.4) answer stands in for the scan.
-  bool complete() const {
+  bool complete() const override {
     return precomputed() || consumed_ == blocks_total() ||
            (spec_.max_blocks > 0 && consumed_ >= spec_.max_blocks);
   }
   // The whole dataset was consumed (or its answer reused); false for budget
   // stops.
-  bool exhausted() const { return precomputed() || consumed_ == blocks_total(); }
+  bool exhausted() const override {
+    return precomputed() || consumed_ == blocks_total();
+  }
   bool precomputed() const { return spec_.precomputed.has_value(); }
-  bool exact() const { return spec_.dataset.is_exact(); }
+  bool exact() const override { return spec_.dataset.is_exact(); }
+  // A per-pipeline block budget (PipelineSpec::max_blocks; Init clears it
+  // for exact datasets).
+  bool capped() const override { return spec_.max_blocks > 0; }
 
   // An error stop may end the plan only when every pipeline's consumed prefix
   // is statistically sound: past the smallest-resolution boundary (the first
   // prefix guaranteed to hold rows of every stratum) for samples, and fully
   // consumed for exact datasets (a prefix of an unshuffled table is not a
   // random sample).
-  bool CanErrorStop() const {
+  bool CanErrorStop() const override {
     return exact() ? complete() : rows_consumed() >= min_stop_rows_;
   }
 
   // Blocks of the smallest-resolution floor: the shortest block prefix whose
   // rows satisfy CanErrorStop (0 when the dataset has no boundaries). A
   // shared budget pool may be overdrawn up to this floor, never past it.
-  uint64_t min_stop_blocks() const { return min_stop_blocks_; }
+  uint64_t min_stop_blocks() const override { return min_stop_blocks_; }
 
   uint64_t blocks_total() const { return plan_.num_blocks(); }
   uint64_t blocks_consumed() const {
     return precomputed() ? blocks_total() : consumed_;
   }
-  uint64_t rows_total() const { return spec_.dataset.NumRows(); }
+  uint64_t rows_total() const override { return spec_.dataset.NumRows(); }
   uint64_t rows_consumed() const {
     if (precomputed()) {
       return rows_total();

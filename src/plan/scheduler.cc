@@ -58,18 +58,21 @@ PipelineScheduler::PipelineScheduler(ScheduleMode mode, const UnionCombiner* com
       shares_(std::move(round_shares)),
       rounds_(shares_.size(), 0) {}
 
-bool PipelineScheduler::Seeded(const ScanPipeline& pipe) const {
-  return pipe.complete() ||
-         (pipe.CanErrorStop() && pipe.blocks_consumed() >= policy_.min_blocks &&
-          static_cast<double>(pipe.rows_matched()) >= policy_.min_matched);
+bool PipelineScheduler::Seeded(const PipelineSource& pipe) const {
+  if (pipe.complete()) {
+    return true;
+  }
+  const PipelineOutcome outcome = pipe.Outcome();
+  return pipe.CanErrorStop() && outcome.blocks_consumed >= policy_.min_blocks &&
+         static_cast<double>(outcome.rows_matched) >= policy_.min_matched;
 }
 
 std::vector<ScheduleGrant> PipelineScheduler::UniformRound(
-    const std::vector<std::unique_ptr<ScanPipeline>>& pipes) const {
+    const std::vector<PipelineSource*>& pipes) const {
   std::vector<ScheduleGrant> grants;
   uint64_t remaining = pool_remaining();
   for (size_t i = 0; i < pipes.size(); ++i) {
-    const ScanPipeline& pipe = *pipes[i];
+    const PipelineSource& pipe = *pipes[i];
     if (pipe.complete()) {
       continue;
     }
@@ -83,9 +86,8 @@ std::vector<ScheduleGrant> PipelineScheduler::UniformRound(
         grant = std::min(grant, remaining);
       } else {
         const uint64_t floor_blocks = pipe.min_stop_blocks();
-        const uint64_t to_floor = floor_blocks > pipe.blocks_consumed()
-                                      ? floor_blocks - pipe.blocks_consumed()
-                                      : 1;
+        const uint64_t consumed = pipe.Outcome().blocks_consumed;
+        const uint64_t to_floor = floor_blocks > consumed ? floor_blocks - consumed : 1;
         grant = std::min(grant, std::max(remaining, to_floor));
       }
       remaining -= std::min(grant, remaining);
@@ -98,11 +100,11 @@ std::vector<ScheduleGrant> PipelineScheduler::UniformRound(
 }
 
 std::vector<ScheduleGrant> PipelineScheduler::NextRound(
-    const std::vector<std::unique_ptr<ScanPipeline>>& pipes,
-    const QueryResult* combined, const std::vector<const QueryResult*>* parts) {
+    const std::vector<PipelineSource*>& pipes, const QueryResult* combined,
+    const std::vector<const QueryResult*>* parts) {
   bool any_incomplete = false;
   bool all_seeded = true;
-  for (const auto& pipe : pipes) {
+  for (const PipelineSource* pipe : pipes) {
     any_incomplete = any_incomplete || !pipe->complete();
     all_seeded = all_seeded && Seeded(*pipe);
   }
@@ -120,7 +122,7 @@ std::vector<ScheduleGrant> PipelineScheduler::NextRound(
     size_t best = pipes.size();
     double best_score = 0.0;
     for (size_t i = 0; i < pipes.size(); ++i) {
-      const ScanPipeline& pipe = *pipes[i];
+      const PipelineSource& pipe = *pipes[i];
       if (pipe.complete()) {
         continue;
       }
@@ -129,7 +131,7 @@ std::vector<ScheduleGrant> PipelineScheduler::NextRound(
         continue;
       }
       const double grant = static_cast<double>(shares_[i]);
-      const double consumed = static_cast<double>(pipe.blocks_consumed());
+      const double consumed = static_cast<double>(pipe.Outcome().blocks_consumed);
       const double score = contributions[i] * grant / (consumed + grant);
       if (score > best_score) {
         best_score = score;
@@ -162,13 +164,12 @@ void PipelineScheduler::OnAdvanced(size_t pipeline, uint64_t consumed_delta,
   }
 }
 
-bool PipelineScheduler::Stalled(
-    const std::vector<std::unique_ptr<ScanPipeline>>& pipes) const {
+bool PipelineScheduler::Stalled(const std::vector<PipelineSource*>& pipes) const {
   if (!pooled() || pool_remaining() > 0) {
     return false;
   }
   bool any_incomplete = false;
-  for (const auto& pipe : pipes) {
+  for (const PipelineSource* pipe : pipes) {
     if (pipe->complete()) {
       continue;
     }

@@ -45,11 +45,10 @@
 #define BLINKDB_PLAN_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/exec/executor.h"
-#include "src/plan/scan_pipeline.h"
+#include "src/plan/pipeline_source.h"
 #include "src/plan/union_combiner.h"
 #include "src/stats/stopping.h"
 
@@ -93,9 +92,9 @@ class PipelineScheduler {
   // which is always uniform). Returns an empty vector when nothing can
   // advance: every pipeline complete, or the pool is dry and every sample
   // pipeline is past its floor.
-  std::vector<ScheduleGrant> NextRound(
-      const std::vector<std::unique_ptr<ScanPipeline>>& pipes,
-      const QueryResult* combined, const std::vector<const QueryResult*>* parts);
+  std::vector<ScheduleGrant> NextRound(const std::vector<PipelineSource*>& pipes,
+                                       const QueryResult* combined,
+                                       const std::vector<const QueryResult*>* parts);
 
   // Driver callback after advancing a granted pipeline: charges the consumed
   // delta against the pool (sample pipelines only) and tallies the round.
@@ -105,7 +104,7 @@ class PipelineScheduler {
   // incomplete: the pool is dry, and every incomplete pipeline is a sample
   // past its smallest-resolution floor. The driver returns (a budget stop)
   // instead of idling.
-  bool Stalled(const std::vector<std::unique_ptr<ScanPipeline>>& pipes) const;
+  bool Stalled(const std::vector<PipelineSource*>& pipes) const;
 
   bool pooled() const { return pool_ > 0; }
   uint64_t pool_remaining() const { return spent_ >= pool_ ? 0 : pool_ - spent_; }
@@ -115,9 +114,9 @@ class PipelineScheduler {
  private:
   // The fairness floor: a pipeline is seeded once its own snapshot clears the
   // policy guards (or it has nothing left to scan).
-  bool Seeded(const ScanPipeline& pipe) const;
+  bool Seeded(const PipelineSource& pipe) const;
   std::vector<ScheduleGrant> UniformRound(
-      const std::vector<std::unique_ptr<ScanPipeline>>& pipes) const;
+      const std::vector<PipelineSource*>& pipes) const;
 
   ScheduleMode mode_;
   const UnionCombiner* combiner_;

@@ -485,8 +485,8 @@ double ConfidenceFor(const QueryBounds& bounds);
 StopPolicy StopPolicyFor(const QueryBounds& bounds);
 
 // The terminal progress event (final_batch) for `answer`, for executions
-// that return without ExecutePlan firing one: cache hits and the
-// coordinator's gathered answer. It carries the report's totals — blocks
+// that return without ExecutePlan firing one: cache hits. It carries the
+// report's totals — blocks
 // consumed out of every pipeline's total, rows read, bytes, achieved error
 // — and whether that error meets an ERROR WITHIN bound.
 StreamProgress TerminalProgress(const ApproxAnswer& answer, const QueryBounds& bounds);

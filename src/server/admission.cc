@@ -11,14 +11,17 @@ AdmissionController::AdmissionController(const SampleStore* store,
                                          const ClusterModel* cluster,
                                          const RuntimeConfig& config, size_t workers,
                                          AdmissionOptions options)
-    : options_(std::move(options)),
-      pool_(store, cluster, config, std::max<size_t>(1, workers)) {
-  // Every worker counts as idle from the start, not from when its thread
-  // first parks: a Submit right after construction must find room.
-  idle_ = pool_.size();
-  workers_.reserve(pool_.size());
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    : options_(std::move(options)), wake_(std::max<size_t>(1, workers)) {
+  const size_t n = wake_.size();
+  for (size_t i = 0; i < n; ++i) {
+    runtimes_.push_back(std::make_unique<QueryRuntime>(store, cluster, config));
+    // Every worker counts as idle from the start, not from when its thread
+    // first parks: a Submit right after construction must find room.
+    idle_.push_back(i);
+  }
+  workers_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -29,7 +32,9 @@ AdmissionController::~AdmissionController() {
     stopping_ = true;
     orphaned.swap(queue_);
   }
-  ready_cv_.notify_all();
+  for (auto& wake : wake_) {
+    wake.notify_all();
+  }
   for (auto& worker : workers_) {
     worker.join();
   }
@@ -53,33 +58,37 @@ size_t AdmissionController::RungFor(size_t waiting) const {
 }
 
 bool AdmissionController::Submit(uint64_t client, Work work, Shed shed) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Room = waiting slots plus idle workers: a ticket an idle worker will
-    // claim immediately never counts against the queue, so queue_depth = 0
-    // still admits whenever a worker is free (and only then).
-    if (stopping_ || queue_.size() >= options_.queue_depth + idle_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    Ticket ticket;
-    ticket.client = client;
-    ticket.work = std::move(work);
-    ticket.shed = std::move(shed);
-    ticket.enqueued = std::chrono::steady_clock::now();
-    queue_.push_back(std::move(ticket));
+  std::lock_guard<std::mutex> lock(mu_);
+  // Room = waiting slots plus idle workers: a ticket an idle worker will
+  // claim immediately never counts against the queue, so queue_depth = 0
+  // still admits whenever a worker is free (and only then).
+  if (stopping_ || queue_.size() >= options_.queue_depth + idle_.size()) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  ready_cv_.notify_one();
+  Ticket ticket;
+  ticket.client = client;
+  ticket.work = std::move(work);
+  ticket.shed = std::move(shed);
+  ticket.enqueued = std::chrono::steady_clock::now();
+  queue_.push_back(std::move(ticket));
+  if (!idle_.empty()) {
+    wake_[idle_.back()].notify_one();
+  }
   return true;
 }
 
-void AdmissionController::WorkerLoop() {
+void AdmissionController::WorkerLoop(size_t self) {
   for (;;) {
     Ticket ticket;
     Decision decision;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ready_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Only the most recently idled worker takes a waiting ticket: its
+      // runtime's scan threads are the likeliest to be warm.
+      wake_[self].wait(lock, [this, self] {
+        return stopping_ || (!queue_.empty() && idle_.back() == self);
+      });
       if (stopping_) {
         return;
       }
@@ -113,23 +122,23 @@ void AdmissionController::WorkerLoop() {
         continue;
       }
       ++running_[ticket.client];
-      --idle_;
+      idle_.pop_back();
+      if (!queue_.empty() && !idle_.empty()) {
+        wake_[idle_.back()].notify_one();  // the next waiting ticket's worker
+      }
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     if (decision.shed_rung > 0) {
       widened_.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-      RuntimePool::Lease lease = pool_.Acquire();
-      ticket.work(lease.runtime(), decision);
-    }
+    ticket.work(*runtimes_[self], decision);
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto r = running_.find(ticket.client);
       if (r != running_.end() && --r->second == 0) {
         running_.erase(r);
       }
-      ++idle_;
+      idle_.push_back(self);
     }
   }
 }

@@ -4,7 +4,7 @@
 // immediately now waits in a bounded FIFO instead of being rejected, and the
 // server sheds load gracefully before it sheds queries —
 //
-//   1. ADMIT   — a worker (each owning one pooled QueryRuntime) is free, or
+//   1. ADMIT   — a worker (each owning one QueryRuntime) is free, or
 //                the queue has room: the query waits its turn in FIFO order.
 //   2. WIDEN   — under queue pressure, error-bounded queries are admitted
 //                with a widened bound from the shed ladder (e.g. 2%→5%→10%):
@@ -31,10 +31,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/server/runtime_pool.h"
+#include "src/runtime/query_runtime.h"
 
 namespace blink {
 
@@ -77,8 +78,11 @@ class AdmissionController {
   // `code` is the wire error code to answer with.
   using Shed = std::function<void(const char* code, const std::string& message)>;
 
-  // `workers` runtimes are built over the shared serving state (via
-  // RuntimePool) and one worker thread drives each.
+  // `workers` worker threads (at least 1) each own one QueryRuntime built
+  // over the shared serving state: a worker runs one ticket at a time, so
+  // its runtime is never shared. The most recently idled worker takes the
+  // next ticket, so a light load keeps reusing the same warm threads.
+  // `store` and `cluster` must outlive the controller.
   AdmissionController(const SampleStore* store, const ClusterModel* cluster,
                       const RuntimeConfig& config, size_t workers,
                       AdmissionOptions options);
@@ -106,19 +110,23 @@ class AdmissionController {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  void WorkerLoop();
+  void WorkerLoop(size_t self);
   // Shed-ladder rung for a backlog of `waiting` tickets (0 = no widening).
   size_t RungFor(size_t waiting) const;
 
   const AdmissionOptions options_;
-  RuntimePool pool_;
+  // runtimes_[i] belongs to workers_[i]; each owns its private scan thread
+  // pool, so concurrent queries never contend on executor internals.
+  std::vector<std::unique_ptr<QueryRuntime>> runtimes_;
 
   mutable std::mutex mu_;
-  std::condition_variable ready_cv_;
+  // wake_[i] wakes worker i; only the top of idle_ takes a waiting ticket.
+  std::vector<std::condition_variable> wake_;
   std::deque<Ticket> queue_;
   // Tickets currently executing per client, for the fairness preference.
   std::unordered_map<uint64_t, size_t> running_;
-  size_t idle_ = 0;  // workers not running a ticket, guarded by mu_
+  // Workers not running a ticket, most recently idled last; guarded by mu_.
+  std::vector<size_t> idle_;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

@@ -55,11 +55,11 @@ struct ServerOptions {
   // 0 binds an ephemeral port; read the actual one from port() after Start.
   uint16_t port = 0;
   std::string server_name = "blinkdb-server/1";
-  // Runtime settings every pooled QueryRuntime is built with. For
+  // Runtime settings every worker's QueryRuntime is built with. For
   // bit-identical answers against an in-process BlinkDB::Query, use the same
   // exec_threads / morsel_rows / scheduling configuration on both sides.
   RuntimeConfig runtime;
-  // QueryRuntime instances in the shared pool = queries executing
+  // Admission workers, each with its own QueryRuntime = queries executing
   // concurrently across all sessions; further queries wait their turn in the
   // admission queue.
   size_t max_concurrent_queries = 4;
@@ -67,7 +67,7 @@ struct ServerOptions {
   // queue deadline, and the load-shedding ladder of widened error bounds.
   // BUSY is answered only when the queue itself is full.
   AdmissionOptions admission;
-  // Answer-cache entries shared by every runtime in the pool; 0 disables
+  // Answer-cache entries shared by every worker's runtime; 0 disables
   // caching (every query executes cold, the pre-cache behavior).
   size_t answer_cache_entries = 256;
   // Idle read timeout (SO_RCVTIMEO on session sockets): a session whose

@@ -5,8 +5,9 @@
 //    rebuilds from the same per-shard serving state and the recorded
 //    per-shard consumed prefixes — for N in {2, 3}, across worker thread
 //    counts, for plain and grouped aggregates; the per-shard prefixes in
-//    the report sum to the combined blocks_consumed; and the progress
-//    stream ends in one final_batch event carrying the report's totals.
+//    the report sum to the combined blocks_consumed; the progress stream
+//    ends in one final_batch event carrying the report's totals; and the
+//    report carries the slowest shard's modeled latency.
 //  - Unpaced scatter: an unbounded query one-shots every worker and still
 //    combines bit-identically.
 //  - Degrade, never hang: a worker that drops its connection mid-stream or
@@ -142,6 +143,11 @@ void ExpectBitIdentical(size_t n, size_t exec_threads, const std::string& sql) {
                 report.achieved_error <= report.effective_error_bound);
   EXPECT_EQ(terminal.bytes_scanned, report.bytes_scanned);
   EXPECT_EQ(terminal.bytes_decoded, report.bytes_decoded);
+  // The shards' modeled latencies reach the report (the slowest shard's).
+  // A shard whose probe already scanned its whole dataset reuses that answer
+  // and charges its time as probe latency, not execution latency.
+  EXPECT_GT(report.total_latency, 0.0);
+  EXPECT_GE(report.total_latency, report.execution_latency);
 
   uint64_t prefix_sum = 0;
   std::vector<ShardReference> shards(n);

@@ -1,8 +1,9 @@
 // Plan-layer units: ScanPipeline advance/snapshot equivalence with the
 // one-shot executor, UnionCombiner recombination math, DNF disjunct
-// deduplication, the rewrite_fallback report flag, and the pipeline
-// scheduler (error attribution, fairness floor, shared budget pools,
-// tie-breaking, single-pipeline degeneration).
+// deduplication, the rewrite_fallback report flag, the pipeline scheduler
+// (error attribution, fairness floor, shared budget pools, tie-breaking,
+// single-pipeline degeneration), and the PipelineSource seam the driver
+// shares with remote shards (grants before awaits, frozen sources).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -773,6 +774,133 @@ TEST(CancelHookTest, CancelBeforeTheFirstRoundConsumesNothing) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run->cancelled);
   EXPECT_EQ(run->blocks_consumed, 0u);
+}
+
+// --- PipelineSource seam (DriveSources) -------------------------------------
+
+// A scripted source that behaves like a remote shard: a grant only takes
+// effect when the source is awaited, and both land in a shared log. Its
+// snapshot is one COUNT cell worth 100 per consumed block, with a variance
+// that shrinks as the prefix grows and is 0 once complete. With
+// `freeze_on_await` > 0 the source freezes on that await instead of
+// advancing, keeping its last snapshot.
+class ScriptedSource final : public PipelineSource {
+ public:
+  ScriptedSource(size_t id, uint64_t blocks_total, std::vector<std::string>* log,
+                 uint64_t freeze_on_await = 0)
+      : id_(std::to_string(id)),
+        blocks_total_(blocks_total),
+        freeze_on_await_(freeze_on_await),
+        log_(log) {}
+
+  Status Grant(uint64_t blocks) override {
+    log_->push_back("grant " + id_);
+    pending_ += blocks;
+    return Status::Ok();
+  }
+  Status Await() override {
+    if (pending_ == 0) {
+      return Status::Ok();
+    }
+    log_->push_back("await " + id_);
+    if (++awaits_ == freeze_on_await_) {
+      frozen_ = true;
+    } else {
+      consumed_ = std::min(blocks_total_, consumed_ + pending_);
+    }
+    pending_ = 0;
+    return Status::Ok();
+  }
+  Result<QueryResult> Snapshot() const override {
+    QueryResult result;
+    result.aggregate_names = {"COUNT(*)"};
+    ResultRow row;
+    const double value = 100.0 * static_cast<double>(consumed_);
+    const double variance =
+        consumed_ == blocks_total_ ? 0.0 : 1e6 / static_cast<double>(consumed_ + 1);
+    row.aggregates.push_back(Estimate{value, variance});
+    result.rows.push_back(row);
+    result.stats.rows_matched = 100 * consumed_;
+    return result;
+  }
+  PipelineOutcome Outcome() const override {
+    PipelineOutcome outcome;
+    outcome.blocks_total = blocks_total_;
+    outcome.blocks_consumed = consumed_;
+    outcome.rows_consumed = 100 * consumed_;
+    outcome.rows_matched = 100 * consumed_;
+    return outcome;
+  }
+  uint64_t rows_total() const override { return 100 * blocks_total_; }
+  bool complete() const override { return frozen_ || consumed_ == blocks_total_; }
+
+ private:
+  std::string id_;
+  uint64_t blocks_total_;
+  uint64_t freeze_on_await_;
+  std::vector<std::string>* log_;
+  uint64_t consumed_ = 0;
+  uint64_t pending_ = 0;
+  uint64_t awaits_ = 0;
+  bool frozen_ = false;
+};
+
+PlanOptions SeamOptions(std::vector<StreamProgress>* rounds) {
+  PlanOptions options;
+  options.schedule = ScheduleMode::kUniform;
+  options.progress = [rounds](const QueryResult&, const StreamProgress& p) {
+    rounds->push_back(p);
+  };
+  return options;
+}
+
+// Shards granted in the same round must scan at the same time, so the driver
+// hands out every grant of a round before it awaits any source.
+TEST(PipelineSourceTest, EveryGrantOfARoundGoesOutBeforeAnyAwait) {
+  std::vector<std::string> log;
+  ScriptedSource a(0, 6, &log);
+  ScriptedSource b(1, 6, &log);
+  const UnionCombiner combiner(SkewedPlanFixture::Parse("SELECT COUNT(*) FROM t"));
+  std::vector<StreamProgress> rounds;
+  auto run = DriveSources({&a, &b}, &combiner, SeamOptions(&rounds), {2, 2});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(rounds.size(), 3u);
+  const std::vector<std::string> round = {"grant 0", "grant 1", "await 0", "await 1"};
+  std::vector<std::string> expected;
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    expected.insert(expected.end(), round.begin(), round.end());
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(run->blocks_consumed, 12u);
+  EXPECT_TRUE(rounds.back().final_batch);
+}
+
+// A source that freezes mid-plan (a shard that stalled or died after its
+// first answer) is complete at its last snapshot: never granted again, still
+// combined, and exhausted, so the plan does not count as stopped early.
+TEST(PipelineSourceTest, FrozenSourceKeepsItsLastSnapshotAndIsNeverGrantedAgain) {
+  std::vector<std::string> log;
+  ScriptedSource a(0, 8, &log);
+  ScriptedSource b(1, 8, &log, /*freeze_on_await=*/2);
+  const UnionCombiner combiner(SkewedPlanFixture::Parse("SELECT COUNT(*) FROM t"));
+  std::vector<StreamProgress> rounds;
+  auto run = DriveSources({&a, &b}, &combiner, SeamOptions(&rounds), {2, 2});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  // Round 1 advances both; b freezes on its second await, in round 2.
+  const auto frozen_at = std::find(log.begin(), log.end(), "await 1") + 1;
+  const auto second_await = std::find(frozen_at, log.end(), "await 1");
+  ASSERT_NE(second_await, log.end());
+  EXPECT_EQ(std::count(second_await, log.end(), "grant 1"), 0);
+  EXPECT_EQ(std::count(log.begin(), log.end(), "grant 0"), 4);
+
+  ASSERT_EQ(run->pipelines.size(), 2u);
+  EXPECT_EQ(run->pipelines[0].blocks_consumed, 8u);
+  EXPECT_EQ(run->pipelines[1].blocks_consumed, 2u);
+  EXPECT_FALSE(run->stopped_early);
+  // b's frozen snapshot (2 blocks, variance 1e6 / 3) is still in the answer.
+  ASSERT_EQ(run->result.rows.size(), 1u);
+  EXPECT_EQ(run->result.rows[0].aggregates[0].value, 1000.0);
+  EXPECT_EQ(run->result.rows[0].aggregates[0].variance, 1e6 / 3.0);
 }
 
 }  // namespace

@@ -212,10 +212,7 @@ int main(int argc, char** argv) {
     uint64_t rounds = 0;
     auto answer = coordinator.Execute(
         execute, [&rounds](const QueryResult&, const StreamProgress& p) {
-          if (p.final_batch) {
-            return;
-          }
-          ++rounds;
+          ++rounds;  // every gathered round, the last (final_batch) one too
           std::printf("ROUND %llu blocks=%llu/%llu error=%.2f%%\n",
                       static_cast<unsigned long long>(rounds),
                       static_cast<unsigned long long>(p.blocks_consumed),
