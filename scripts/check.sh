@@ -232,20 +232,22 @@ echo "== benchmark: build perfbench and run its self-test =="
 CARGO_TARGET_DIR="$BUILD_DIR/bench" python3 perfbench/run.py --self-test
 echo "benchmark self-test OK"
 
-echo "== sanitizers: codec + exec under ASan/UBSan =="
+echo "== sanitizers: codec + exec + session core under ASan/UBSan =="
 # The compressed scan path is the bit-twiddling hot spot; run its tests (and
-# the execution layers above it) under AddressSanitizer + UBSan. Override the
-# check set with BLINK_SANITIZE=..., or skip with BLINK_SANITIZE=off (e.g. on
-# toolchains without libasan).
+# the execution layers above it) under AddressSanitizer + UBSan, together with
+# the server and coordinator tests: the session core both servers share is
+# where untrusted bytes enter. Override the check set with BLINK_SANITIZE=...,
+# or skip with BLINK_SANITIZE=off (e.g. on toolchains without libasan).
 SAN="${BLINK_SANITIZE:-address,undefined}"
 if [ "$SAN" = "off" ]; then
   echo "BLINK_SANITIZE=off; skipping sanitizer build"
 else
   cmake -B "$BUILD_DIR-asan" -S . -DBLINK_SANITIZE="$SAN" >/dev/null
   cmake --build "$BUILD_DIR-asan" -j "$JOBS" --target \
-    codec_test storage_test exec_test parallel_exec_test fuzz_differential_test
+    codec_test storage_test exec_test parallel_exec_test fuzz_differential_test \
+    server_test coord_test
   ctest --test-dir "$BUILD_DIR-asan" --output-on-failure -j "$JOBS" \
-    -R '^(codec_test|storage_test|exec_test|parallel_exec_test|fuzz_differential_test)$'
+    -R '^(codec_test|storage_test|exec_test|parallel_exec_test|fuzz_differential_test|server_test|coord_test)$'
   echo "sanitizers clean"
 fi
 

@@ -53,10 +53,7 @@ Status BlinkClient::Connect(const std::string& host, uint16_t port,
     Close();
     return Status::Internal("server answered HELLO with an unexpected frame");
   }
-  const HelloFrame& server_hello = std::get<HelloFrame>(reply->payload);
-  server_.protocol_version = server_hello.protocol_version;
-  server_.server_name = server_hello.peer;
-  server_.tables = server_hello.tables;
+  server_ = std::move(std::get<HelloFrame>(reply->payload));
   return Status::Ok();
 }
 
@@ -206,6 +203,10 @@ Status BlinkClient::SendRaw(std::string_view payload) {
     return Status::FailedPrecondition("not connected");
   }
   return WriteFrame(fd_.get(), payload);
+}
+
+Status BlinkClient::SetReadTimeout(double seconds) {
+  return SetRecvTimeout(fd_.get(), seconds);
 }
 
 Result<Frame> BlinkClient::ReadOne() {

@@ -1,5 +1,6 @@
-// BlinkDB streaming client — the library behind blinkdb_cli and any
-// downstream application that talks to a BlinkServer.
+// BlinkDB streaming client — the library behind blinkdb_cli, the
+// coordinator's worker sessions (RemoteShard), and any downstream
+// application that talks to a BlinkServer.
 //
 // Usage (docs/CLIENT_GUIDE.md has the full walkthrough):
 //
@@ -36,13 +37,6 @@
 
 namespace blink {
 
-// What the server announced in its HELLO.
-struct ServerInfo {
-  int64_t protocol_version = 0;
-  std::string server_name;
-  std::vector<std::string> tables;
-};
-
 // The terminal answer of one streamed query.
 struct QueryOutcome {
   QueryResult result;
@@ -77,7 +71,8 @@ class BlinkClient {
                  const std::string& client_name = "blink_client/1");
 
   bool connected() const { return fd_.valid(); }
-  const ServerInfo& server() const { return server_; }
+  // The server's HELLO reply: its peer name, tables and shard role.
+  const HelloFrame& server() const { return server_; }
 
   // Sends a QUERY and blocks until its FINAL or ERROR frame, streaming each
   // PARTIAL to `on_partial` along the way. A server-side failure (ERROR
@@ -98,16 +93,21 @@ class BlinkClient {
 
   void Close();
 
-  // Test/debug escape hatches: send one raw frame payload, read one frame.
-  // Production code never needs these; tests/server_test.cc uses them to
+  // Raw frame access: send one frame payload, read one frame. The
+  // coordinator's RemoteShard drives paced worker queries (QUERY with pacing
+  // fields, GRANT, CANCEL) through these; tests/server_test.cc uses them to
   // exercise the server's malformed-frame handling.
   Status SendRaw(std::string_view payload);
   Result<Frame> ReadOne();
+  // Arms (or, with seconds <= 0, disarms) a receive timeout: a ReadOne()
+  // that waits longer fails with kDeadlineExceeded, after which the stream
+  // may be cut mid-frame and cannot be trusted.
+  Status SetReadTimeout(double seconds);
 
  private:
   OwnedFd fd_;
   std::mutex write_mu_;  // Query() and CancelActive() may write concurrently
-  ServerInfo server_;
+  HelloFrame server_;
   uint64_t next_query_id_ = 1;
   std::atomic<uint64_t> active_query_id_{0};
   std::atomic<bool> query_active_{false};

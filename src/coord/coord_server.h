@@ -3,6 +3,9 @@
 // talks to a sharded deployment unchanged. Each QUERY frame is scattered
 // through the Coordinator; every gathered round's combined partial answer
 // streams back as a PARTIAL frame and the combined answer as the FINAL.
+// Sessions run on the same session core as BlinkServer's
+// (src/server/session.h): the HELLO gate, framing errors, latched writes and
+// the frame limit on answers are the core's.
 //
 // Scope: queries on one session run serially (the coordinator drives one
 // scatter at a time): a QUERY sent after the previous query's FINAL or ERROR
@@ -13,24 +16,18 @@
 #ifndef BLINKDB_COORD_COORD_SERVER_H_
 #define BLINKDB_COORD_COORD_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/coord/coordinator.h"
-#include "src/server/net.h"
-#include "src/server/protocol.h"
+#include "src/server/session.h"
 
 namespace blink {
 
 struct CoordServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 binds an ephemeral port
-  std::string server_name = "blinkdb-coord/1";
 };
 
 class CoordServer {
@@ -47,31 +44,16 @@ class CoordServer {
   // Closes the listener and every session; idempotent.
   void Stop();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return wire_.port(); }
 
  private:
-  struct Session;
-
-  void AcceptLoop();
-  // A session's reader thread: dispatches frames until EOF, then stops and
-  // joins the in-flight query and closes the socket.
-  void ServeSession(Session* session);
-  // Handles one decoded client frame; false closes the session.
-  bool Dispatch(Session* session, const Frame& frame);
-  // A session's query thread: one scatter, its PARTIALs, then FINAL or ERROR.
-  void RunQuery(Session* session, const QueryFrame& query);
+  class Session;
 
   CoordServerOptions options_;
-  std::vector<std::string> tables_;
-  OwnedFd listener_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<bool> running_{false};
   // One scatter at a time through the shared Coordinator.
   std::mutex execute_mu_;
   Coordinator coordinator_;
-  std::mutex sessions_mu_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  WireServer wire_;  // declared last: its sessions use the members above
 };
 
 }  // namespace blink

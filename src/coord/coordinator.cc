@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/client/blink_client.h"
 #include "src/coord/sql_render.h"
 #include "src/plan/query_plan.h"
 #include "src/plan/union_combiner.h"
@@ -14,11 +15,10 @@ Result<std::vector<std::string>> Coordinator::FetchTables() {
   if (options_.workers.empty()) {
     return Status::InvalidArgument("coordinator has no workers configured");
   }
-  RemoteShard shard;
-  BLINK_RETURN_IF_ERROR(shard.Connect(options_.workers[0].host,
-                                      options_.workers[0].port, 0,
-                                      options_.workers.size()));
-  return shard.hello().tables;
+  BlinkClient worker;
+  BLINK_RETURN_IF_ERROR(worker.Connect(options_.workers[0].host,
+                                       options_.workers[0].port, kCoordinatorName));
+  return worker.server().tables;
 }
 
 Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,

@@ -7,40 +7,14 @@ namespace blink {
 Status RemoteShard::Connect(const std::string& host, uint16_t port,
                             uint64_t expect_index, uint64_t expect_count) {
   index_ = expect_index;
-  auto fd = ConnectTcp(host, port);
-  if (!fd.ok()) {
-    return fd.status();
-  }
-  fd_ = std::move(*fd);
-  HelloFrame hello;
-  hello.peer = "blinkdb-coord/1";
-  BLINK_RETURN_IF_ERROR(WriteFrame(fd_.get(), EncodeHello(hello)));
-  auto payload = ReadFrame(fd_.get());
-  if (!payload.ok()) {
-    fd_.Close();
-    return payload.status();
-  }
-  if (!payload->has_value()) {
-    fd_.Close();
-    return Status::Internal("worker closed the connection during HELLO");
-  }
-  auto frame = DecodeFrame(**payload);
-  if (!frame.ok()) {
-    fd_.Close();
-    return frame.status();
-  }
-  if (frame->type != FrameType::kHello) {
-    fd_.Close();
-    return Status::Internal(std::string("expected HELLO, got ") +
-                            FrameTypeName(frame->type));
-  }
-  hello_ = std::get<HelloFrame>(frame->payload);
-  if (expect_count > 0 && (hello_.shard_index != expect_index ||
-                           hello_.shard_count != expect_count)) {
-    fd_.Close();
+  BLINK_RETURN_IF_ERROR(client_.Connect(host, port, kCoordinatorName));
+  const HelloFrame& hello = client_.server();
+  if (expect_count > 0 &&
+      (hello.shard_index != expect_index || hello.shard_count != expect_count)) {
+    client_.Close();
     return Status::FailedPrecondition(
-        "worker announced shard " + std::to_string(hello_.shard_index) + "/" +
-        std::to_string(hello_.shard_count) + ", expected " +
+        "worker announced shard " + std::to_string(hello.shard_index) + "/" +
+        std::to_string(hello.shard_count) + ", expected " +
         std::to_string(expect_index) + "/" + std::to_string(expect_count));
   }
   return Status::Ok();
@@ -60,7 +34,7 @@ Status RemoteShard::StartQuery(uint64_t id, const std::string& sql,
   query.round_blocks = round_blocks;
   query.grant_blocks = round_blocks;
   query.confidence = confidence;
-  return WriteFrame(fd_.get(), EncodeQuery(query));
+  return client_.SendRaw(EncodeQuery(query));
 }
 
 Status RemoteShard::Grant(uint64_t blocks) {
@@ -72,7 +46,7 @@ Status RemoteShard::Grant(uint64_t blocks) {
   GrantFrame grant;
   grant.id = query_id_;
   grant.blocks = target;
-  if (Status s = WriteFrame(fd_.get(), EncodeGrant(grant)); !s.ok()) {
+  if (Status s = client_.SendRaw(EncodeGrant(grant)); !s.ok()) {
     fault_ = s.ToString();
     return Freeze();
   }
@@ -86,7 +60,7 @@ Status RemoteShard::Cancel(double deadline_seconds) {
   }
   CancelFrame cancel;
   cancel.id = query_id_;
-  if (Status s = WriteFrame(fd_.get(), EncodeCancel(cancel)); !s.ok()) {
+  if (Status s = client_.SendRaw(EncodeCancel(cancel)); !s.ok()) {
     fault_ = s.ToString();
     return Freeze();
   }
@@ -97,7 +71,7 @@ Status RemoteShard::Cancel(double deadline_seconds) {
 }
 
 Status RemoteShard::Freeze() {
-  fd_.Close();
+  client_.Close();
   if (!snapshot_.has_value()) {
     return Status::Internal("shard " + std::to_string(index_) +
                             " failed before its first answer (" + fault_ +
@@ -132,21 +106,12 @@ Status RemoteShard::Await() {
     return Status::Ok();
   }
   pending_ = false;
-  BLINK_RETURN_IF_ERROR(SetRecvTimeout(fd_.get(), deadline_seconds_));
+  BLINK_RETURN_IF_ERROR(client_.SetReadTimeout(deadline_seconds_));
   for (;;) {
-    auto payload = ReadFrame(fd_.get());
-    if (!payload.ok()) {
-      // A timeout is the straggler case, anything else (kDataLoss, transport
-      // errors) a hard failure; both untrust the stream.
-      fault_ = payload.status().ToString();
-      return Freeze();
-    }
-    if (!payload->has_value()) {
-      fault_ = "worker closed the connection mid-query";
-      return Freeze();
-    }
-    auto frame = DecodeFrame(**payload);
+    auto frame = client_.ReadOne();
     if (!frame.ok()) {
+      // A timeout is the straggler case; a dropped connection or a corrupt
+      // frame a hard failure. Each untrusts the stream.
       fault_ = frame.status().ToString();
       return Freeze();
     }

@@ -1,8 +1,8 @@
 // Coordinator-side handle for one worker shard (docs/PROTOCOL.md "Paced
 // execution", docs/ARCHITECTURE.md "Distributed scatter/gather").
 //
-// A RemoteShard owns the TCP connection to one blinkdb_server worker playing
-// shard role i-of-N, and is the plan driver's PipelineSource for that
+// A RemoteShard owns a BlinkClient session with one blinkdb_server worker
+// playing shard role i-of-N, and is the plan driver's PipelineSource for that
 // worker's part of one scattered query (src/plan/pipeline_source.h): the
 // QUERY carries round 1's grant, Grant() raises the worker's cumulative grant
 // with a GRANT frame, and Await() reads the worker's frames until it pauses
@@ -29,11 +29,15 @@
 #include <optional>
 #include <string>
 
+#include "src/client/blink_client.h"
 #include "src/plan/pipeline_source.h"
-#include "src/server/net.h"
 #include "src/server/protocol.h"
 
 namespace blink {
+
+// The coordinator's peer name: in its HELLO to every worker and in its
+// front's HELLO reply.
+inline constexpr char kCoordinatorName[] = "blinkdb-coord/1";
 
 class RemoteShard final : public PipelineSource {
  public:
@@ -47,8 +51,6 @@ class RemoteShard final : public PipelineSource {
   // to a mis-sharded worker would double- or under-count strata.
   Status Connect(const std::string& host, uint16_t port, uint64_t expect_index,
                  uint64_t expect_count);
-
-  const HelloFrame& hello() const { return hello_; }
 
   // Sends the scattered QUERY, once per handle. round_blocks > 0 is the
   // paced form: the worker streams rounds of round_blocks and pauses at its
@@ -88,8 +90,7 @@ class RemoteShard final : public PipelineSource {
   // its last snapshot, or fails the query when there is none.
   Status Freeze();
 
-  OwnedFd fd_;
-  HelloFrame hello_;
+  BlinkClient client_;
   uint64_t index_ = 0;
   uint64_t query_id_ = 0;
   uint64_t granted_ = 0;

@@ -1,7 +1,5 @@
 #include "src/server/server.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <limits>
@@ -15,11 +13,14 @@
 
 namespace blink {
 
-// One client connection: the reader thread lives here; queries are submitted
-// to the server's admission queue and execute on its worker threads, so
-// CANCEL (and malformed-frame ERRORs) can be serviced mid-query and several
-// queries from one session may be in flight (queued or running) at once.
-class BlinkServer::Session {
+// The HELLO reply's peer name.
+constexpr char kServerName[] = "blinkdb-server/1";
+
+// One client connection: queries are submitted to the server's admission
+// queue and execute on its worker threads, so CANCEL (and malformed-frame
+// ERRORs) can be serviced mid-query and several queries from one session may
+// be in flight (queued or running) at once.
+class BlinkServer::Session final : public WireSession {
  public:
   // One in-flight query: the cancel flag the plan driver polls, plus — for
   // paced (round_blocks > 0) queries — the grant gate. The execution thread
@@ -36,160 +37,10 @@ class BlinkServer::Session {
   };
 
   Session(BlinkServer* server, OwnedFd fd, uint64_t id)
-      : server_(server), fd_(std::move(fd)), id_(id) {
-    reader_ = std::thread([this] { Serve(); });
-  }
-
-  ~Session() { Shutdown(); }
-
-  // Unblocks the reader, cancels every in-flight query, waits for their
-  // terminal frames, joins the reader.
-  void Shutdown() {
-    closing_.store(true);
-    CancelAllQueries();
-    {
-      // Serve()'s exit tail closes the fd under the same lock; never
-      // shutdown() a descriptor another thread may be closing.
-      std::lock_guard<std::mutex> lock(write_mu_);
-      if (fd_.valid()) {
-        ::shutdown(fd_.get(), SHUT_RDWR);
-      }
-    }
-    if (reader_.joinable()) {
-      reader_.join();
-    }
-    AwaitQueries();
-    fd_.Close();
-  }
-
-  bool finished() const { return finished_.load(); }
+      : WireSession(std::move(fd)), server_(server), id_(id) {}
 
  private:
-  void Serve() {
-    // Idle-timeout the reader: SO_RCVTIMEO bounds every blocked recv, and a
-    // timeout that fires while the session has no queries in flight closes
-    // it — a half-open client must not pin this thread forever.
-    if (server_->options_.idle_read_timeout_seconds > 0) {
-      SetRecvTimeout(fd_.get(), server_->options_.idle_read_timeout_seconds);
-    }
-    for (;;) {
-      auto frame_bytes = ReadFrame(fd_.get());
-      if (!frame_bytes.ok() &&
-          frame_bytes.status().code() == StatusCode::kDeadlineExceeded) {
-        if (HasOutstanding()) {
-          continue;  // quiet client waiting on its FINAL: re-arm and keep reading
-        }
-        break;  // idle past the deadline: close the session
-      }
-      if (!frame_bytes.ok() || !frame_bytes->has_value()) {
-        break;  // EOF, peer reset, or an unsynchronizable framing error
-      }
-      auto frame = DecodeFrame(**frame_bytes);
-      if (!frame.ok()) {
-        ErrorFrame error;
-        error.code = frame.status().code() == StatusCode::kUnimplemented
-                         ? wire_error::kUnknownType
-                         : wire_error::kMalformedFrame;
-        error.message = frame.status().message();
-        // Framing is length-prefixed, so the stream is still in sync: report
-        // and keep serving this session.
-        if (!Send(EncodeError(error))) {
-          break;
-        }
-        continue;
-      }
-      if (!Dispatch(*frame)) {
-        break;
-      }
-    }
-    // Reader gone: no more CANCELs can arrive; stop the in-flight queries so
-    // their admission workers free up promptly, let them write their
-    // terminal frames, then release the socket right away — a finished
-    // session must not hold its fd until the next accept happens to reap it
-    // (EMFILE under connect/disconnect churn). The Session object itself
-    // (and its terminated reader) is reaped later; only the fd is scarce.
-    CancelAllQueries();
-    AwaitQueries();
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      write_failed_ = true;  // no writer may touch the closed descriptor
-      if (fd_.valid()) {
-        ::shutdown(fd_.get(), SHUT_RDWR);
-      }
-      fd_.Close();
-    }
-    finished_.store(true);
-  }
-
-  // Returns false to close the session.
-  bool Dispatch(const Frame& frame) {
-    switch (frame.type) {
-      case FrameType::kHello:
-        return OnHello(std::get<HelloFrame>(frame.payload));
-      case FrameType::kQuery:
-        return OnQuery(std::get<QueryFrame>(frame.payload));
-      case FrameType::kCancel:
-        OnCancel(std::get<CancelFrame>(frame.payload));
-        return true;
-      case FrameType::kGrant:
-        OnGrant(std::get<GrantFrame>(frame.payload));
-        return true;
-      case FrameType::kAppend:
-        return OnAppend(std::get<AppendFrame>(frame.payload));
-      case FrameType::kPartial:
-      case FrameType::kFinal:
-      case FrameType::kError:
-      case FrameType::kAppendOk: {
-        ErrorFrame error;
-        error.code = wire_error::kUnexpectedFrame;
-        error.message = std::string(FrameTypeName(frame.type)) +
-                        " frames are server-to-client only";
-        return Send(EncodeError(error));
-      }
-    }
-    return false;
-  }
-
-  bool OnHello(const HelloFrame& hello) {
-    if (greeted_) {
-      // A repeated HELLO is survivable regardless of its contents
-      // (docs/PROTOCOL.md §3.1) — never close an established session over it.
-      ErrorFrame error;
-      error.code = wire_error::kUnexpectedFrame;
-      error.message = "HELLO already exchanged on this session";
-      return Send(EncodeError(error));
-    }
-    if (hello.protocol_version != kProtocolVersion) {
-      ErrorFrame error;
-      error.code = wire_error::kUnsupportedProtocol;
-      error.message = "server speaks protocol_version " +
-                      std::to_string(kProtocolVersion) + ", client sent " +
-                      std::to_string(hello.protocol_version);
-      Send(EncodeError(error));
-      return false;  // incompatible peer: close after reporting
-    }
-    HelloFrame reply;
-    reply.protocol_version = kProtocolVersion;
-    reply.peer = server_->options_.server_name;
-    reply.tables = server_->db_.catalog().TableNames();
-    reply.shard_index = server_->options_.shard_index;
-    reply.shard_count = server_->options_.shard_count;
-    if (!Send(EncodeHello(reply))) {
-      return false;
-    }
-    greeted_ = true;
-    return true;
-  }
-
-  bool OnQuery(const QueryFrame& query) {
-    if (!greeted_) {
-      ErrorFrame error;
-      error.has_id = true;
-      error.id = query.id;
-      error.code = wire_error::kHandshakeRequired;
-      error.message = "send HELLO before QUERY";
-      return Send(EncodeError(error));
-    }
+  bool OnQuery(const QueryFrame& query) override {
     auto job = std::make_shared<Job>();
     job->paced = query.round_blocks > 0;
     job->granted = query.grant_blocks;
@@ -199,12 +50,8 @@ class BlinkServer::Session {
         lock.unlock();
         // Ids name queries on the wire (CANCEL, frame routing); a duplicate
         // while the first is in flight would be ambiguous.
-        ErrorFrame error;
-        error.has_id = true;
-        error.id = query.id;
-        error.code = wire_error::kBusy;
-        error.message = "query id is already in flight on this session";
-        return Send(EncodeError(error));
+        return SendError(wire_error::kBusy,
+                         "query id is already in flight on this session", query.id);
       }
       jobs_.emplace(query.id, job);
       ++outstanding_;
@@ -219,27 +66,17 @@ class BlinkServer::Session {
         [this, query](const char* code, const std::string& message) {
           // Shed without executing (deadline, or shutdown drain): the query
           // still gets its terminal frame.
-          ErrorFrame error;
-          error.has_id = true;
-          error.id = query.id;
-          error.code = code;
-          error.message = message;
-          Send(EncodeError(error));
+          SendError(code, message, query.id);
           FinishJob(query.id);
         });
     if (!admitted) {
       FinishJob(query.id);
-      ErrorFrame error;
-      error.has_id = true;
-      error.id = query.id;
-      error.code = wire_error::kBusy;
-      error.message = "admission queue is full";
-      return Send(EncodeError(error));
+      return SendError(wire_error::kBusy, "admission queue is full", query.id);
     }
     return true;
   }
 
-  void OnCancel(const CancelFrame& cancel) {
+  bool OnCancel(const CancelFrame& cancel) override {
     // Queued and running queries alike; a CANCEL racing its FINAL (or naming
     // a finished/unknown id) is a documented no-op. The grant-gate notify
     // wakes a paused paced query so it unwinds to its FINAL immediately.
@@ -249,9 +86,10 @@ class BlinkServer::Session {
       it->second->cancel.store(true);
       it->second->cv.notify_all();
     }
+    return true;
   }
 
-  void OnGrant(const GrantFrame& grant) {
+  bool OnGrant(const GrantFrame& grant) override {
     // Raises the query's cumulative block budget (monotonic — a stale or
     // smaller grant is a no-op). Unknown ids are ignored: the query may have
     // finished, and GRANT/FINAL races are inherent (docs/PROTOCOL.md).
@@ -265,6 +103,7 @@ class BlinkServer::Session {
       }
       job.cv.notify_all();
     }
+    return true;
   }
 
   // Runs on the reader thread — appends on a session are therefore ordered
@@ -272,23 +111,10 @@ class BlinkServer::Session {
   // observes the appended rows, one sent before never does (the leveled
   // store's snapshot pinning). Lands the rows as one sealed level-0 run,
   // then runs one maintenance tick so merge debt is paid by the writer.
-  bool OnAppend(const AppendFrame& append) {
+  bool OnAppend(const AppendFrame& append) override {
     auto fail = [&](const std::string& message) {
-      ErrorFrame error;
-      error.has_id = true;
-      error.id = append.id;
-      error.code = wire_error::kAppendFailed;
-      error.message = message;
-      return Send(EncodeError(error));
+      return SendError(wire_error::kAppendFailed, message, append.id);
     };
-    if (!greeted_) {
-      ErrorFrame error;
-      error.has_id = true;
-      error.id = append.id;
-      error.code = wire_error::kHandshakeRequired;
-      error.message = "send HELLO before APPEND";
-      return Send(EncodeError(error));
-    }
     BlinkDB* db = server_->mutable_db_;
     if (db == nullptr) {
       return fail("server is read-only");
@@ -386,18 +212,12 @@ class BlinkServer::Session {
         }
         PartialFrame frame;
         frame.id = query.id;
-        frame.seq = ++seq;
         frame.queue_ms = queue_ms;
         frame.cache = p.cache;
         frame.effective_bound = effective_bound;
         frame.progress = p;
         frame.result = partial;
-        const std::string payload = EncodePartial(frame);
-        if (payload.size() > kMaxFrameBytes) {
-          --seq;  // an oversized partial is skipped, not a dead client
-          return;
-        }
-        if (!Send(payload)) {
+        if (!SendPartial(frame, seq)) {
           // Client unreachable (or its write timed out): stop scanning for
           // it (§4.4 — a dead session must not keep consuming blocks).
           cancel->store(true);
@@ -452,48 +272,26 @@ class BlinkServer::Session {
     }();
 
     if (answer.ok()) {
-      answer.value().report.queue_latency = decision.queue_seconds;
-      FinalFrame frame;
-      frame.id = query.id;
-      frame.result = std::move(answer.value().result);
-      frame.report = std::move(answer.value().report);
-      const std::string payload = EncodeFinal(frame);
-      if (payload.size() <= kMaxFrameBytes) {
-        Send(payload);
-      } else {
-        // "FINAL or ERROR — never neither" (docs/PROTOCOL.md §2): a result
-        // too large for one frame still terminates the query explicitly.
-        ErrorFrame error;
-        error.has_id = true;
-        error.id = query.id;
-        error.code = wire_error::kQueryFailed;
-        error.message = "result exceeds the frame size limit";
-        Send(EncodeError(error));
-      }
-    } else {
-      ErrorFrame error;
-      error.has_id = true;
-      error.id = query.id;
-      error.code = wire_error::kQueryFailed;
-      error.message = answer.status().ToString();
-      Send(EncodeError(error));
+      answer->report.queue_latency = decision.queue_seconds;
     }
+    Send(EncodeTerminal(query.id, std::move(answer)));
   }
 
-  // Serialized frame write; false once the peer is unreachable. A failed
-  // write may have left a frame half-written (e.g. a send timeout partway
-  // through), after which the stream is unsynchronizable — latch the
-  // failure so no later frame is ever appended to the torn one.
-  bool Send(const std::string& payload) {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    if (closing_.load() || write_failed_) {
-      return false;
+  // Cancels every submitted query and blocks until each has produced its
+  // terminal frame. The admission workers outlive the sessions (BlinkServer
+  // member order), so queued tickets always drain.
+  void Drain() override {
+    std::unique_lock<std::mutex> lock(jobs_mu_);
+    for (auto& [id, job] : jobs_) {
+      job->cancel.store(true);
+      job->cv.notify_all();  // wake paced queries paused on their grant gate
     }
-    if (!WriteFrame(fd_.get(), payload).ok()) {
-      write_failed_ = true;
-      return false;
-    }
-    return true;
+    jobs_cv_.wait(lock, [this] { return outstanding_ == 0; });
+  }
+
+  bool Busy() override {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    return outstanding_ != 0;
   }
 
   // A submitted query reached its terminal frame (FINAL, ERROR, or shed).
@@ -504,36 +302,8 @@ class BlinkServer::Session {
     jobs_cv_.notify_all();
   }
 
-  void CancelAllQueries() {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (auto& [id, job] : jobs_) {
-      job->cancel.store(true);
-      job->cv.notify_all();  // wake paced queries paused on their grant gate
-    }
-  }
-
-  bool HasOutstanding() {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    return outstanding_ != 0;
-  }
-
-  // Blocks until every submitted query has produced its terminal frame. The
-  // admission workers outlive the sessions (BlinkServer member order), so
-  // queued tickets always drain.
-  void AwaitQueries() {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    jobs_cv_.wait(lock, [this] { return outstanding_ == 0; });
-  }
-
   BlinkServer* server_;
-  OwnedFd fd_;
   const uint64_t id_;  // fairness identity in the admission queue
-  std::thread reader_;
-  std::mutex write_mu_;
-  bool write_failed_ = false;  // guarded by write_mu_
-  bool greeted_ = false;
-  std::atomic<bool> closing_{false};
-  std::atomic<bool> finished_{false};
   // In-flight queries (queued or running) by id, each with its own cancel
   // flag threaded into the plan driver and — for paced queries — the grant
   // gate its execution waits on between rounds.
@@ -552,7 +322,7 @@ BlinkServer::BlinkServer(BlinkDB& db, ServerOptions options)
 BlinkServer::~BlinkServer() { Stop(); }
 
 Status BlinkServer::Start() {
-  if (running_.load()) {
+  if (wire_.running()) {
     return Status::FailedPrecondition("server already started");
   }
   if (options_.answer_cache_entries > 0) {
@@ -561,57 +331,24 @@ Status BlinkServer::Start() {
   admission_ = std::make_unique<AdmissionController>(
       &db_.samples(), &db_.cluster(), options_.runtime,
       options_.max_concurrent_queries, options_.admission);
-  auto listener = ListenTcp(options_.host, options_.port, &port_);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  listener_ = std::move(listener.value());
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  BLINK_LOG(kInfo) << "blinkdb server listening on " << options_.host << ":" << port_;
+  HelloFrame hello;
+  hello.peer = kServerName;
+  hello.tables = db_.catalog().TableNames();
+  hello.shard_index = options_.shard_index;
+  hello.shard_count = options_.shard_count;
+  BLINK_RETURN_IF_ERROR(wire_.Start(
+      options_.host, options_.port, hello, options_.idle_read_timeout_seconds,
+      [this](OwnedFd fd, uint64_t session_id) -> std::unique_ptr<WireSession> {
+        return std::make_unique<Session>(this, std::move(fd), session_id);
+      }));
+  BLINK_LOG(kInfo) << "blinkdb server listening on " << options_.host << ":"
+                   << wire_.port();
   return Status::Ok();
 }
 
 void BlinkServer::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  // Unblock accept() and join the acceptor BEFORE closing the descriptor:
-  // AcceptLoop reads listener_ until it exits, and close() would also free
-  // the fd slot for reuse while accept() still references it.
-  ::shutdown(listener_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  listener_.Close();
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions.swap(sessions_);
-  }
-  sessions.clear();  // ~Session shuts each down and drains its queries
-  admission_.reset();  // after the sessions: they wait on its workers
-}
-
-void BlinkServer::AcceptLoop() {
-  for (;;) {
-    auto fd = AcceptTcp(listener_.get(), running_);
-    if (!fd.ok()) {
-      return;  // Stop() shut the listener down
-    }
-    const uint64_t session_id = sessions_accepted_.fetch_add(1) + 1;
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    // Opportunistically reap sessions whose reader already exited, so a
-    // long-lived server does not accumulate dead connections.
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if ((*it)->finished()) {
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    sessions_.push_back(std::make_unique<Session>(this, std::move(*fd), session_id));
-  }
+  wire_.Stop();        // each session drains its queries on the admission workers,
+  admission_.reset();  // so the workers stop only after the sessions
 }
 
 }  // namespace blink

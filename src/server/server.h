@@ -10,8 +10,9 @@
 //
 // Architecture (docs/ARCHITECTURE.md "Serving layer"):
 //
-//   accept thread ──▶ Session per connection (reader thread)
-//                        │  HELLO handshake, frame dispatch
+//   accept thread ──▶ Session per connection (reader thread: the session
+//                        │  core of src/server/session.h, HELLO gate,
+//                        │  framing errors, frame-limit encoder)
 //                        │  QUERY ──▶ AdmissionController::Submit (bounded
 //                        │            FIFO; BUSY only when the queue is full)
 //                        │             └▶ admission worker: answer cache
@@ -34,19 +35,14 @@
 #ifndef BLINKDB_SERVER_SERVER_H_
 #define BLINKDB_SERVER_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/api/blinkdb.h"
 #include "src/cache/answer_cache.h"
 #include "src/server/admission.h"
-#include "src/server/net.h"
-#include "src/server/protocol.h"
+#include "src/server/session.h"
 
 namespace blink {
 
@@ -54,7 +50,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   // 0 binds an ephemeral port; read the actual one from port() after Start.
   uint16_t port = 0;
-  std::string server_name = "blinkdb-server/1";
   // Runtime settings every worker's QueryRuntime is built with. For
   // bit-identical answers against an in-process BlinkDB::Query, use the same
   // exec_threads / morsel_rows / scheduling configuration on both sides.
@@ -111,10 +106,7 @@ class BlinkServer {
   void Stop();
 
   // The bound port (valid after a successful Start).
-  uint16_t port() const { return port_; }
-
-  // Sessions accepted over the server's lifetime (for tests/metrics).
-  size_t sessions_accepted() const { return sessions_accepted_.load(); }
+  uint16_t port() const { return wire_.port(); }
 
   // Answer-cache counters (null stats when caching is disabled).
   AnswerCacheStats cache_stats() const {
@@ -128,25 +120,17 @@ class BlinkServer {
  private:
   class Session;
 
-  void AcceptLoop();
-
   const BlinkDB& db_;
   // Non-null only for the ingest-enabled constructor; the target of APPEND
   // frames. Always aliases db_.
   BlinkDB* mutable_db_ = nullptr;
   ServerOptions options_;
-  // Destruction order matters: sessions_ (declared last) is destroyed first,
-  // and session teardown waits on queries the admission workers are still
-  // driving — so admission_ must outlive sessions_.
+  // Destruction order matters: wire_ (declared last) stops its sessions
+  // first, and session teardown waits on queries the admission workers are
+  // still driving, so admission_ must outlive wire_'s sessions.
   std::unique_ptr<AnswerCache> cache_;
   std::unique_ptr<AdmissionController> admission_;
-  OwnedFd listener_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<size_t> sessions_accepted_{0};
-  std::mutex sessions_mu_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  WireServer wire_;
 };
 
 }  // namespace blink

@@ -18,8 +18,12 @@
 //    unobserved). Faulty workers are scripted raw-socket peers, so the
 //    fault points are deterministic.
 //  - Protocol front: scattered queries stream over the ordinary wire
-//    protocol, back-to-back queries on one session never draw BUSY, and a
-//    closed session releases its socket at once.
+//    protocol, back-to-back queries on one session never draw BUSY, and an
+//    answer too large for one frame ends in QUERY_FAILED on a session that
+//    goes on serving.
+//  - Session rules, once against a BlinkServer and once against the front
+//    (the session core both share): malformed frames, the HELLO gate, and
+//    sockets released at close.
 //  - Protocol: GRANT and the pacing/shard handshake fields round-trip.
 #include <gtest/gtest.h>
 
@@ -492,6 +496,257 @@ TEST(CoordServerFront, BackToBackQueriesOnOneSessionNeverDrawBusy) {
   front.Stop();
 }
 
+// A scripted worker (shard `shard_index` of 2) that answers every QUERY at
+// once with one unbounded FINAL: a GROUP BY query gets kWideGroups groups,
+// each named by a 1 MiB string no other shard uses, any other query one
+// COUNT(*) row. One worker's wide FINAL fits in a frame; two workers'
+// combined answer does not. It serves one connection after another: the
+// front's table fetch, then one per scattered query.
+class WideAnswerWorker {
+ public:
+  static constexpr size_t kWideGroups = 9;
+
+  explicit WideAnswerWorker(uint64_t shard_index) : shard_index_(shard_index) {
+    auto listener = ListenTcp("127.0.0.1", 0, &port_);
+    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+    listener_ = std::move(*listener);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~WideAnswerWorker() {
+    ::shutdown(listener_.get(), SHUT_RDWR);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (conn_.valid()) {
+        ::shutdown(conn_.get(), SHUT_RDWR);
+      }
+    }
+    thread_.join();
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  FinalFrame Answer(const QueryFrame& query) const {
+    FinalFrame final_frame;
+    final_frame.id = query.id;
+    final_frame.report.blocks_consumed = 4;
+    final_frame.report.blocks_read = 4;
+    QueryResult& result = final_frame.result;
+    result.aggregate_names = {"COUNT(*)"};
+    const bool grouped = query.sql.find("GROUP BY") != std::string::npos;
+    if (grouped) {
+      result.group_names = {"city"};
+    }
+    for (size_t g = 0; g < (grouped ? kWideGroups : 1); ++g) {
+      ResultRow row;
+      if (grouped) {
+        row.group_values.emplace_back(std::to_string(shard_index_) + "/" +
+                                      std::to_string(g) + std::string(1u << 20, 'x'));
+      }
+      row.aggregates.push_back(Estimate{100.0, 0.0});
+      result.rows.push_back(std::move(row));
+    }
+    return final_frame;
+  }
+
+  void Serve() {
+    for (;;) {
+      const int fd = ::accept(listener_.get(), nullptr, nullptr);
+      if (fd < 0) {
+        return;
+      }
+      {
+        std::lock_guard<std::mutex> lock(conn_mu_);
+        conn_ = OwnedFd(fd);
+      }
+      for (;;) {
+        auto payload = ReadFrame(conn_.get());
+        if (!payload.ok() || !payload->has_value()) {
+          break;
+        }
+        auto frame = DecodeFrame(**payload);
+        if (!frame.ok()) {
+          break;
+        }
+        if (frame->type == FrameType::kHello) {
+          HelloFrame reply;
+          reply.tables = {"sessions"};
+          reply.shard_index = shard_index_;
+          reply.shard_count = 2;
+          (void)WriteFrame(conn_.get(), EncodeHello(reply));
+        } else if (frame->type == FrameType::kQuery) {
+          (void)WriteFrame(conn_.get(),
+                           EncodeFinal(Answer(std::get<QueryFrame>(frame->payload))));
+        }
+      }
+    }
+  }
+
+  uint64_t shard_index_;
+  OwnedFd listener_;
+  // Replaced by the serving thread, shut down by the destructor. The serving
+  // thread alone reads and writes through it, so only those two lock.
+  std::mutex conn_mu_;
+  OwnedFd conn_;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// An answer too large for one frame still ends its query on the front
+// (docs/PROTOCOL.md §2, "FINAL or ERROR, never neither"): the oversized
+// combined PARTIAL is skipped, the FINAL becomes ERROR QUERY_FAILED, and the
+// session goes on to answer its next query. A front that tried to write the
+// oversized PARTIAL latched a failed write and never answered again.
+TEST(CoordServerFront, OverLimitAnswerDrawsQueryFailedAndSessionServesOn) {
+  WideAnswerWorker shard0(0);
+  WideAnswerWorker shard1(1);
+  CoordinatorOptions options;
+  options.workers.push_back({"127.0.0.1", shard0.port()});
+  options.workers.push_back({"127.0.0.1", shard1.port()});
+  CoordServer front(options);
+  ASSERT_TRUE(front.Start().ok());
+
+  BlinkClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", front.port(), "coord_test/1").ok());
+  // A front that sends nothing fails the read instead of hanging the test.
+  ASSERT_TRUE(client.SetReadTimeout(20.0).ok());
+  size_t partials = 0;
+  auto wide = client.Query("SELECT city, COUNT(*) FROM sessions GROUP BY city",
+                           [&partials](const PartialFrame&) { ++partials; });
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().message().rfind(wire_error::kQueryFailed, 0), 0u)
+      << wide.status().ToString();
+  EXPECT_EQ(partials, 0u);
+
+  auto small = client.Query("SELECT COUNT(*) FROM sessions");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_EQ(small->result.rows.size(), 1u);
+  EXPECT_EQ(small->result.rows[0].aggregates[0].value, 200.0);
+  front.Stop();
+}
+
+// --- Session rules, on both servers ------------------------------------------
+
+// BlinkServer and the coordinator front share one session core
+// (src/server/session.h), so each session rule runs once against each: shard
+// worker 0 of a two-worker fleet, and a CoordServer in front of that fleet.
+enum class Front { kBlinkServer, kCoordServer };
+
+class SessionRulesTest : public ::testing::TestWithParam<Front> {
+ protected:
+  void SetUp() override {
+    fleet_ = StartFleet(2, 1);
+    if (GetParam() == Front::kCoordServer) {
+      front_ = std::make_unique<CoordServer>(fleet_.options);
+      ASSERT_TRUE(front_->Start().ok());
+    }
+  }
+
+  uint16_t port() const {
+    return front_ != nullptr ? front_->port() : fleet_.servers[0]->port();
+  }
+
+  Fleet fleet_;
+  std::unique_ptr<CoordServer> front_;  // destroyed before the fleet
+};
+
+INSTANTIATE_TEST_SUITE_P(BothServers, SessionRulesTest,
+                         ::testing::Values(Front::kBlinkServer, Front::kCoordServer),
+                         [](const ::testing::TestParamInfo<Front>& info) {
+                           return info.param == Front::kBlinkServer ? "BlinkServer"
+                                                                    : "CoordServer";
+                         });
+
+constexpr char kGroupedSql[] =
+    "SELECT os, COUNT(*), AVG(sessiontimems) FROM sessions GROUP BY os";
+
+TEST_P(SessionRulesTest, MalformedFramesDrawErrorWithoutKillingSession) {
+  BlinkClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+
+  ASSERT_TRUE(client.SendRaw("this is not json").ok());
+  auto reply = client.ReadOne();
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kMalformedFrame);
+
+  ASSERT_TRUE(client.SendRaw(R"({"type": "BOGUS"})").ok());
+  reply = client.ReadOne();
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnknownType);
+
+  // A well-formed frame that is server-to-client only.
+  FinalFrame bogus_final;
+  ASSERT_TRUE(client.SendRaw(EncodeFinal(bogus_final)).ok());
+  reply = client.ReadOne();
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnexpectedFrame);
+
+  // The session survived all three: a real query still answers.
+  auto outcome = client.Query(kGroupedSql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome->result.rows.empty());
+}
+
+TEST_P(SessionRulesTest, QueryBeforeHelloIsRejected) {
+  auto fd = ConnectTcp("127.0.0.1", port());
+  ASSERT_TRUE(fd.ok());
+  QueryFrame query;
+  query.id = 1;
+  query.sql = kGroupedSql;
+  ASSERT_TRUE(WriteFrame(fd->get(), EncodeQuery(query)).ok());
+  auto payload = ReadFrame(fd->get());
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(payload->has_value());
+  auto frame = DecodeFrame(**payload);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(frame->payload).code,
+            wire_error::kHandshakeRequired);
+}
+
+TEST_P(SessionRulesTest, ProtocolVersionMismatchClosesSession) {
+  auto fd = ConnectTcp("127.0.0.1", port());
+  ASSERT_TRUE(fd.ok());
+  HelloFrame hello;
+  hello.protocol_version = 99;
+  ASSERT_TRUE(WriteFrame(fd->get(), EncodeHello(hello)).ok());
+  auto payload = ReadFrame(fd->get());
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(payload->has_value());
+  auto frame = DecodeFrame(**payload);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(frame->payload).code,
+            wire_error::kUnsupportedProtocol);
+  // The server closes after reporting: the next read is a clean EOF.
+  auto eof = ReadFrame(fd->get());
+  ASSERT_TRUE(eof.ok());
+  EXPECT_FALSE(eof->has_value());
+}
+
+// A HELLO on an established session draws UNEXPECTED_FRAME whatever it
+// carries, even a version the server would refuse at the handshake, and the
+// session goes on serving (docs/PROTOCOL.md §3.1).
+TEST_P(SessionRulesTest, SecondHelloDrawsUnexpectedFrameAndSessionSurvives) {
+  BlinkClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  HelloFrame again;
+  again.protocol_version = 99;
+  ASSERT_TRUE(client.SendRaw(EncodeHello(again)).ok());
+  auto reply = client.ReadOne();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnexpectedFrame);
+
+  auto outcome = client.Query(kGroupedSql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome->result.rows.empty());
+}
+
 // Open descriptors of this process.
 size_t OpenFds() {
   size_t n = 0;
@@ -504,15 +759,12 @@ size_t OpenFds() {
 
 // A closed client session gives its socket back when its reader sees the
 // EOF, not at Stop(): 200 connect/close cycles used to leave 200 descriptors
-// (and finished threads) behind until the front stopped.
-TEST(CoordServerFront, ClosedSessionsReleaseTheirSockets) {
-  Fleet fleet = StartFleet(2, 1);
-  CoordServer front(fleet.options);
-  ASSERT_TRUE(front.Start().ok());
+// (and finished threads) behind on the front until it stopped.
+TEST_P(SessionRulesTest, ClosedSessionsReleaseTheirSockets) {
   const size_t before = OpenFds();
   for (int i = 0; i < 200; ++i) {
     BlinkClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", front.port(), "coord_test/1").ok());
+    ASSERT_TRUE(client.Connect("127.0.0.1", port(), "coord_test/1").ok());
   }  // ~BlinkClient closes
   // The last readers may still be between the EOF and the close.
   size_t after = OpenFds();
@@ -521,7 +773,6 @@ TEST(CoordServerFront, ClosedSessionsReleaseTheirSockets) {
     after = OpenFds();
   }
   EXPECT_LE(after, before + 2) << "before " << before;
-  front.Stop();
 }
 
 // --- Protocol additions ------------------------------------------------------

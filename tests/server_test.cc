@@ -5,8 +5,9 @@
 //  - Serving: N concurrent clients get FINAL answers bit-identical to a
 //    direct in-process BlinkDB::Query under the same runtime settings;
 //    PARTIAL sequences are monotone in blocks_consumed and precede FINAL
-//    for bounded queries; malformed frames draw an ERROR without killing
-//    the session; handshake rules hold.
+//    for bounded queries. The session rules both servers share (malformed
+//    frames, the HELLO gate, socket release) run against each in
+//    tests/coord_test.cc's SessionRulesTest.
 //  - Admission: a second query queues (FIFO) instead of bouncing; BUSY is
 //    reserved for a full queue (and duplicate in-flight ids); the shed
 //    ladder widens bounds under backlog; stale tickets shed at the
@@ -662,37 +663,6 @@ TEST(ServerTest, BoundedQueryStreamsMonotonePartialsBeforeFinal) {
   EXPECT_GE(outcome->report.blocks_consumed, partials.back().blocks_consumed);
 }
 
-TEST(ServerTest, MalformedFramesDrawErrorWithoutKillingSession) {
-  ServedFixture& fx = ServedFixture::Get();
-  BlinkClient client;
-  fx.Connect(client);
-
-  ASSERT_TRUE(client.SendRaw("this is not json").ok());
-  auto reply = client.ReadOne();
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kMalformedFrame);
-
-  ASSERT_TRUE(client.SendRaw(R"({"type": "BOGUS"})").ok());
-  reply = client.ReadOne();
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnknownType);
-
-  // A well-formed frame that is server-to-client only.
-  FinalFrame bogus_final;
-  ASSERT_TRUE(client.SendRaw(EncodeFinal(bogus_final)).ok());
-  reply = client.ReadOne();
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kUnexpectedFrame);
-
-  // The session survived all three: a real query still answers.
-  auto outcome = client.Query(kGroupedSql);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_FALSE(outcome->result.rows.empty());
-}
-
 // One QUERY whose WHERE nests 10,000 parentheses used to overflow the
 // parsing admission worker's stack and kill the server. It now draws ERROR
 // QUERY_FAILED, and the same session goes on to a normal FINAL.
@@ -711,45 +681,6 @@ TEST(ServerTest, DeeplyNestedWhereDrawsQueryFailedAndSessionSurvives) {
   auto outcome = client.Query(kGroupedSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(outcome->result.rows.empty());
-}
-
-TEST(ServerTest, QueryBeforeHelloIsRejected) {
-  ServedFixture& fx = ServedFixture::Get();
-  auto fd = ConnectTcp("127.0.0.1", fx.server->port());
-  ASSERT_TRUE(fd.ok());
-  QueryFrame query;
-  query.id = 1;
-  query.sql = kGroupedSql;
-  ASSERT_TRUE(WriteFrame(fd->get(), EncodeQuery(query)).ok());
-  auto payload = ReadFrame(fd->get());
-  ASSERT_TRUE(payload.ok());
-  ASSERT_TRUE(payload->has_value());
-  auto frame = DecodeFrame(**payload);
-  ASSERT_TRUE(frame.ok());
-  ASSERT_EQ(frame->type, FrameType::kError);
-  EXPECT_EQ(std::get<ErrorFrame>(frame->payload).code,
-            wire_error::kHandshakeRequired);
-}
-
-TEST(ServerTest, ProtocolVersionMismatchClosesSession) {
-  ServedFixture& fx = ServedFixture::Get();
-  auto fd = ConnectTcp("127.0.0.1", fx.server->port());
-  ASSERT_TRUE(fd.ok());
-  HelloFrame hello;
-  hello.protocol_version = 99;
-  ASSERT_TRUE(WriteFrame(fd->get(), EncodeHello(hello)).ok());
-  auto payload = ReadFrame(fd->get());
-  ASSERT_TRUE(payload.ok());
-  ASSERT_TRUE(payload->has_value());
-  auto frame = DecodeFrame(**payload);
-  ASSERT_TRUE(frame.ok());
-  ASSERT_EQ(frame->type, FrameType::kError);
-  EXPECT_EQ(std::get<ErrorFrame>(frame->payload).code,
-            wire_error::kUnsupportedProtocol);
-  // The server closes after reporting: the next read is a clean EOF.
-  auto eof = ReadFrame(fd->get());
-  ASSERT_TRUE(eof.ok());
-  EXPECT_FALSE(eof->has_value());
 }
 
 // The old immediate BUSY bounce is gone: with one runtime taken and queue

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("connected to %s (protocol %lld); tables: %s\n",
-              client.server().server_name.c_str(),
+              client.server().peer.c_str(),
               static_cast<long long>(client.server().protocol_version),
               Join(client.server().tables, ", ").c_str());
 
