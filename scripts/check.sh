@@ -236,9 +236,12 @@ echo "== sanitizers: codec + exec + session core under ASan/UBSan =="
 # The compressed scan path is the bit-twiddling hot spot; run its tests (and
 # the execution layers above it) under AddressSanitizer + UBSan, together with
 # the server and coordinator tests: the session core both servers share is
-# where untrusted bytes enter. Override the check set with BLINK_SANITIZE=...,
-# or skip with BLINK_SANITIZE=off (e.g. on toolchains without libasan).
-SAN="${BLINK_SANITIZE:-address,undefined}"
+# where untrusted bytes enter. GCC's `undefined` group leaves out
+# float-cast-overflow, the check that catches a wire double cast to an
+# integer it cannot hold, so it is named here. Override the check set with
+# BLINK_SANITIZE=..., or skip with BLINK_SANITIZE=off (e.g. on toolchains
+# without libasan).
+SAN="${BLINK_SANITIZE:-address,undefined,float-cast-overflow}"
 if [ "$SAN" = "off" ]; then
   echo "BLINK_SANITIZE=off; skipping sanitizer build"
 else

@@ -5,9 +5,11 @@
 #     *.md files must point at a file (or directory) that exists in the repo.
 #     External links (http/https/mailto) and pure #anchors are skipped.
 #  2. Protocol coverage: every frame type the server can emit or accept
-#     (the FrameTypeName table in src/server/protocol.cc) and every wire
-#     error code (src/server/protocol.h) must be documented in
-#     docs/PROTOCOL.md — so the spec cannot silently fall behind the code.
+#     (the kFrameCodecs table in src/server/protocol.cc), every wire key of
+#     the codec's field tables (its Field("...") entries) and every wire error
+#     code (src/server/protocol.h) must be documented in docs/PROTOCOL.md — so
+#     the spec cannot silently fall behind the code. Finding no frame names
+#     or no keys fails the gate instead of checking nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,11 +43,25 @@ done
 
 echo "-- protocol spec coverage --"
 if [ -f docs/PROTOCOL.md ]; then
-  # Frame types, from the codec's name table.
-  for frame in $(grep -oE 'return "[A-Z]+";' src/server/protocol.cc |
-                 sed -E 's/return "([A-Z]+)";/\1/' | grep -v '^UNKNOWN$' | sort -u); do
-    if ! grep -q "$frame" docs/PROTOCOL.md; then
+  # Frame types, from the codec's frame table; wire keys, from its field
+  # tables.
+  frames="$(grep -oE '\{"[A-Z_]+", DecodePayload<' src/server/protocol.cc |
+            sed -E 's/^\{"([A-Z_]+)".*/\1/' | sort -u)"
+  keys="$(grep -oE '\bField\("[a-z_]+"' src/server/protocol.cc |
+          sed -E 's/^Field\("([a-z_]+)"/\1/' | sort -u)"
+  if [ -z "$frames" ] || [ -z "$keys" ]; then
+    echo "found no frame table or no field tables in src/server/protocol.cc"
+    fail=1
+  fi
+  for frame in $frames; do
+    if ! grep -qw "$frame" docs/PROTOCOL.md; then
       echo "FRAME TYPE $frame is not documented in docs/PROTOCOL.md"
+      fail=1
+    fi
+  done
+  for key in $keys; do
+    if ! grep -qw -- "$key" docs/PROTOCOL.md; then
+      echo "WIRE KEY $key is not documented in docs/PROTOCOL.md"
       fail=1
     fi
   done

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <limits>
 
 #include "src/coord/sql_render.h"
 #include "src/plan/union_combiner.h"
+#include "src/server/protocol.h"
 #include "src/sql/parser.h"
 
 namespace blink {
@@ -45,18 +45,13 @@ Result<QueryResult> RunShardedReference(const std::string& sql,
                             reparsed.status().ToString());
   }
   SelectStatement shard_stmt = *reparsed;
-  if (paced) {
-    // The worker session's paced override: a 0 error target disables the
-    // worker-local stopping rule; the prefix cancel below is the only stop.
-    shard_stmt.bounds.kind = QueryBounds::Kind::kError;
-    shard_stmt.bounds.error = 0.0;
-    shard_stmt.bounds.relative = true;
-    shard_stmt.bounds.confidence = confidence;
-  }
+  // The worker session's paced override, applied to the QUERY the
+  // coordinator sends; the prefix cancel below is the only stop.
+  QueryFrame paced_query;
+  paced_query.round_blocks = round_blocks;
+  paced_query.confidence = confidence;
   const uint32_t batch_override =
-      paced ? static_cast<uint32_t>(std::min<uint64_t>(
-                  round_blocks, std::numeric_limits<uint32_t>::max()))
-            : 0;
+      paced ? PaceWorkerStatement(paced_query, shard_stmt) : 0;
 
   std::vector<QueryResult> snapshots;
   snapshots.reserve(shards.size());

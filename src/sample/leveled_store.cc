@@ -19,14 +19,6 @@ uint64_t MixSeed(uint64_t x) {
 
 }  // namespace
 
-uint64_t LeveledStore::Snapshot::TotalRows() const {
-  uint64_t total = 0;
-  for (const auto& run : runs) {
-    total += run->rows->num_rows();
-  }
-  return total;
-}
-
 std::string LeveledStore::Snapshot::Fingerprint() const {
   std::string fp = "levels:v" + std::to_string(version);
   for (const auto& run : runs) {

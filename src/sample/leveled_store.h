@@ -90,7 +90,6 @@ class LeveledStore {
     uint64_t version = 0;
     std::vector<std::shared_ptr<const Run>> runs;  // arrival order, oldest first
 
-    uint64_t TotalRows() const;
     // Stable identity of the pinned run set, for cache keys: version plus the
     // run ids. Two different level sets can never share a fingerprint.
     std::string Fingerprint() const;

@@ -91,9 +91,6 @@ class SampleFamily {
                                          ? 0
                                          : per_resolution_counts_[0].size(); }
 
-  // The physical row store (tests / maintenance).
-  const Table& physical_table() const { return physical_rows_; }
-
   // Builds compressed block storage for the physical row store, with block
   // boundaries cut at the resolution prefixes — the same cut points morsel
   // carving uses, so every logical sample decodes whole blocks (§4.4 delta

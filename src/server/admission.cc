@@ -46,15 +46,14 @@ AdmissionController::~AdmissionController() {
 }
 
 size_t AdmissionController::RungFor(size_t waiting) const {
-  if (options_.shed_ladder.empty() || options_.queue_depth == 0 || waiting == 0) {
+  if (options_.queue_depth == 0 || waiting == 0) {
     return 0;
   }
-  // Linear occupancy bands: backlog 0..depth maps onto ladder.size()+1 bands,
+  // Linear occupancy bands: backlog 0..depth maps onto rungs+1 bands,
   // so an empty queue widens nothing and a nearly full queue runs the top
   // rung.
-  const size_t bands = options_.shed_ladder.size() + 1;
-  return std::min(options_.shed_ladder.size(),
-                  waiting * bands / (options_.queue_depth + 1));
+  const size_t rungs = std::size(kShedLadder);
+  return std::min(rungs, waiting * (rungs + 1) / (options_.queue_depth + 1));
 }
 
 bool AdmissionController::Submit(uint64_t client, Work work, Shed shed) {
@@ -95,13 +94,11 @@ void AdmissionController::WorkerLoop(size_t self) {
       // Fairness: the oldest ticket whose client holds no worker goes first;
       // when every waiting client is already running somewhere, plain FIFO.
       auto it = queue_.begin();
-      if (options_.fair) {
-        for (auto probe = queue_.begin(); probe != queue_.end(); ++probe) {
-          auto r = running_.find(probe->client);
-          if (r == running_.end() || r->second == 0) {
-            it = probe;
-            break;
-          }
+      for (auto probe = queue_.begin(); probe != queue_.end(); ++probe) {
+        auto r = running_.find(probe->client);
+        if (r == running_.end() || r->second == 0) {
+          it = probe;
+          break;
         }
       }
       ticket = std::move(*it);
@@ -111,7 +108,7 @@ void AdmissionController::WorkerLoop(size_t self) {
           std::chrono::duration<double>(now - ticket.enqueued).count();
       decision.shed_rung = RungFor(queue_.size());
       if (decision.shed_rung > 0) {
-        decision.shed_bound = options_.shed_ladder[decision.shed_rung - 1];
+        decision.shed_bound = kShedLadder[decision.shed_rung - 1];
       }
       if (options_.deadline_seconds > 0 &&
           decision.queue_seconds > options_.deadline_seconds) {

@@ -15,10 +15,10 @@
 //   4. REJECT  — only when the queue itself is full does the server answer
 //                BUSY.
 //
-// Optional per-client fairness: when choosing the next ticket, a waiting
-// query from a client with nothing running is preferred over a second query
-// from a client that already holds a worker — one chatty client cannot
-// monopolize the pool — while ties keep FIFO order.
+// Per-client fairness: when choosing the next ticket, a waiting query from a
+// client with nothing running is preferred over a second query from a client
+// that already holds a worker — one chatty client cannot monopolize the
+// pool — while ties keep FIFO order.
 #ifndef BLINKDB_SERVER_ADMISSION_H_
 #define BLINKDB_SERVER_ADMISSION_H_
 
@@ -46,14 +46,12 @@ struct AdmissionOptions {
   // A ticket that waited longer than this is shed (DEADLINE_EXCEEDED)
   // instead of executed; 0 disables the deadline.
   double deadline_seconds = 0.0;
-  // Load-shedding ladder of relative error bounds, ascending. Queue
-  // occupancy picks the rung: an error-bounded query admitted under pressure
-  // runs with its bound widened to the rung (never narrowed). Empty disables
-  // shedding.
-  std::vector<double> shed_ladder = {0.02, 0.05, 0.10};
-  // Prefer waiting tickets from clients with no running query.
-  bool fair = true;
 };
+
+// Load-shedding ladder of relative error bounds, ascending. Queue occupancy
+// picks the rung: an error-bounded query admitted under pressure runs with
+// its bound widened to the rung (never narrowed).
+inline constexpr double kShedLadder[] = {0.02, 0.05, 0.10};
 
 struct AdmissionStats {
   uint64_t admitted = 0;   // tickets handed to a worker

@@ -1,5 +1,10 @@
 #include "src/server/protocol.h"
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "src/plan/scheduler.h"
@@ -7,91 +12,186 @@
 namespace blink {
 namespace {
 
-// --- Field accessors (Status on missing/mistyped fields) ---------------------
+// --- Field tables ------------------------------------------------------------
+// Every wire struct declares its fields once, in wire order, as kFields<S>:
+// the JSON key, the member, and the presence rule. The one encoder and the one
+// decoder below walk these tables; neither names a key. scripts/check_docs.sh
+// reads the keys from the Field("...") entries.
 
-Status Missing(const char* key) {
-  return Status::InvalidArgument(std::string("missing or mistyped field '") + key +
-                                 "'");
-}
+enum Presence {
+  kRequired,  // always encoded; decoding fails without it
+  kOptional,  // always encoded; an absent key decodes to the member's default
+  kOmitted,   // encoded only when set (see Field); absent decodes to the default
+};
 
-Result<std::string> GetString(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_string()) {
-    return Missing(key);
-  }
-  return v->AsString();
-}
+template <typename S, typename T>
+struct Field {
+  constexpr Field(const char* key, T S::*member, Presence presence = kRequired)
+      : key(key), member(member), presence(presence) {}
+  // kOmitted: on the wire only when `sent` holds.
+  template <typename Pred,
+            typename = std::enable_if_t<std::is_convertible_v<Pred, bool (*)(const S&)>>>
+  constexpr Field(const char* key, T S::*member, Pred sent)
+      : key(key), member(member), presence(kOmitted), sent(sent) {}
+  // kOmitted: on the wire only when the `seen` flag is set, and decoding sets
+  // the flag when the key is present.
+  constexpr Field(const char* key, T S::*member, bool S::*seen)
+      : key(key), member(member), presence(kOmitted), seen(seen) {}
 
-Result<uint64_t> GetUint(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  // Wire counters are JSON integers in [0, 2^63) — docs/PROTOCOL.md §1. A
-  // negative number must not wrap into a huge uint64, and a double outside
-  // int64 range must be rejected before the cast (which would be UB).
-  if (v == nullptr || !v->is_number()) {
-    return Missing(key);
-  }
-  const double d = v->AsDouble();
-  if (d < 0 || d >= 9223372036854775808.0 /* 2^63 */) {
-    return Missing(key);
-  }
-  return v->AsUint();
-}
+  const char* key;
+  T S::*member;
+  Presence presence;
+  bool (*sent)(const S&) = nullptr;
+  bool S::*seen = nullptr;
+};
 
-Result<double> GetDouble(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Missing(key);
-  }
-  return v->AsDouble();
-}
+// Not a wire struct; each specialization is a tuple of Fields.
+template <typename S>
+constexpr int kFields = 0;
 
-bool GetBoolOr(const JsonValue& obj, const char* key, bool fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->is_bool() ? v->AsBool() : fallback;
-}
+template <>
+constexpr auto kFields<ScanStats> = std::make_tuple(
+    Field("rows_scanned", &ScanStats::rows_scanned),
+    Field("rows_matched", &ScanStats::rows_matched),
+    Field("blocks_scanned", &ScanStats::blocks_scanned),
+    Field("block_rows", &ScanStats::block_rows),
+    Field("bytes_scanned", &ScanStats::bytes_scanned));
 
-// Optional counter field: frames from older peers simply lack it. Applies
-// the same [0, 2^63) range check as GetUint; out-of-range falls back.
-uint64_t GetUintOr(const JsonValue& obj, const char* key, uint64_t fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return fallback;
-  }
-  const double d = v->AsDouble();
-  if (d < 0 || d >= 9223372036854775808.0 /* 2^63 */) {
-    return fallback;
-  }
-  return v->AsUint();
-}
+template <>
+constexpr auto kFields<Estimate> = std::make_tuple(
+    Field("value", &Estimate::value), Field("variance", &Estimate::variance));
 
-// Optional numeric field: frames from older peers simply lack it.
-double GetDoubleOr(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->is_number() ? v->AsDouble() : fallback;
-}
+template <>
+constexpr auto kFields<ResultRow> = std::make_tuple(
+    Field("group", &ResultRow::group_values),
+    Field("aggregates", &ResultRow::aggregates));
 
-// Optional string field, same contract as GetDoubleOr.
-std::string GetStringOr(const JsonValue& obj, const char* key,
-                        const char* fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->is_string() ? v->AsString() : std::string(fallback);
-}
+template <>
+constexpr auto kFields<QueryResult> = std::make_tuple(
+    Field("group_names", &QueryResult::group_names),
+    Field("aggregate_names", &QueryResult::aggregate_names),
+    Field("confidence", &QueryResult::confidence), Field("rows", &QueryResult::rows),
+    Field("stats", &QueryResult::stats));
 
-Result<const JsonValue*> GetObject(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_object()) {
-    return Missing(key);
-  }
-  return v;
-}
+template <>
+constexpr auto kFields<StreamProgress> = std::make_tuple(
+    Field("blocks_consumed", &StreamProgress::blocks_consumed),
+    Field("blocks_total", &StreamProgress::blocks_total),
+    Field("rows_consumed", &StreamProgress::rows_consumed),
+    Field("rows_total", &StreamProgress::rows_total),
+    Field("achieved_error", &StreamProgress::achieved_error),
+    Field("bound_met", &StreamProgress::bound_met, kOptional),
+    Field("bytes_scanned", &StreamProgress::bytes_scanned, kOptional),
+    Field("bytes_decoded", &StreamProgress::bytes_decoded, kOptional));
 
-Result<const JsonValue*> GetArray(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_array()) {
-    return Missing(key);
-  }
-  return v;
-}
+template <>
+constexpr auto kFields<ElpPoint> = std::make_tuple(
+    Field("resolution", &ElpPoint::resolution), Field("rows", &ElpPoint::rows),
+    Field("blocks", &ElpPoint::blocks),
+    Field("projected_error", &ElpPoint::projected_error),
+    Field("projected_latency", &ElpPoint::projected_latency),
+    Field("projected_matched", &ElpPoint::projected_matched));
+
+template <>
+constexpr auto kFields<PipelineOutcome> = std::make_tuple(
+    Field("blocks_total", &PipelineOutcome::blocks_total),
+    Field("blocks_consumed", &PipelineOutcome::blocks_consumed),
+    Field("rows_consumed", &PipelineOutcome::rows_consumed),
+    Field("rows_matched", &PipelineOutcome::rows_matched),
+    Field("reused_probe", &PipelineOutcome::reused_probe, kOptional),
+    Field("scheduled_rounds", &PipelineOutcome::scheduled_rounds),
+    Field("error_contribution", &PipelineOutcome::error_contribution),
+    Field("bytes_scanned", &PipelineOutcome::bytes_scanned, kOptional),
+    Field("bytes_decoded", &PipelineOutcome::bytes_decoded, kOptional),
+    Field("degraded", &PipelineOutcome::degraded,
+          [](const PipelineOutcome& o) { return o.degraded; }));
+
+template <>
+constexpr auto kFields<ExecutionReport> = std::make_tuple(
+    Field("family", &ExecutionReport::family),
+    Field("resolution", &ExecutionReport::resolution),
+    Field("cap", &ExecutionReport::cap), Field("rows_read", &ExecutionReport::rows_read),
+    Field("blocks_read", &ExecutionReport::blocks_read),
+    Field("blocks_reused", &ExecutionReport::blocks_reused),
+    Field("blocks_consumed", &ExecutionReport::blocks_consumed),
+    Field("stopped_early", &ExecutionReport::stopped_early, kOptional),
+    Field("cancelled", &ExecutionReport::cancelled, kOptional),
+    Field("probe_latency", &ExecutionReport::probe_latency),
+    Field("execution_latency", &ExecutionReport::execution_latency),
+    Field("total_latency", &ExecutionReport::total_latency),
+    Field("queue_latency", &ExecutionReport::queue_latency, kOptional),
+    Field("effective_error_bound", &ExecutionReport::effective_error_bound, kOptional),
+    Field("cache", &ExecutionReport::cache, kOptional),
+    Field("projected_error", &ExecutionReport::projected_error),
+    Field("achieved_error", &ExecutionReport::achieved_error),
+    Field("num_subqueries", &ExecutionReport::num_subqueries),
+    Field("rewrite_fallback", &ExecutionReport::rewrite_fallback, kOptional),
+    Field("bytes_scanned", &ExecutionReport::bytes_scanned, kOptional),
+    Field("bytes_decoded", &ExecutionReport::bytes_decoded, kOptional),
+    Field("schedule", &ExecutionReport::schedule),
+    Field("elp", &ExecutionReport::elp, kOptional),
+    Field("pipeline_outcomes", &ExecutionReport::pipeline_outcomes, kOptional));
+
+// A stand-alone server sends neither half of the shard role.
+bool HasShardRole(const HelloFrame& hello) { return hello.shard_count > 0; }
+
+template <>
+constexpr auto kFields<HelloFrame> = std::make_tuple(
+    Field("protocol_version", &HelloFrame::protocol_version),
+    Field("peer", &HelloFrame::peer, kOptional),
+    Field("tables", &HelloFrame::tables,
+          [](const HelloFrame& hello) { return !hello.tables.empty(); }),
+    Field("shard_index", &HelloFrame::shard_index, HasShardRole),
+    Field("shard_count", &HelloFrame::shard_count, HasShardRole));
+
+// Pacing fields go on the wire only when set, so a classic client's QUERY is
+// byte-identical to protocol v1's.
+template <>
+constexpr auto kFields<QueryFrame> = std::make_tuple(
+    Field("id", &QueryFrame::id), Field("sql", &QueryFrame::sql),
+    Field("round_blocks", &QueryFrame::round_blocks,
+          [](const QueryFrame& query) { return query.round_blocks > 0; }),
+    Field("grant_blocks", &QueryFrame::grant_blocks,
+          [](const QueryFrame& query) { return query.grant_blocks > 0; }),
+    Field("confidence", &QueryFrame::confidence,
+          [](const QueryFrame& query) { return query.confidence > 0; }));
+
+template <>
+constexpr auto kFields<CancelFrame> = std::make_tuple(Field("id", &CancelFrame::id));
+
+template <>
+constexpr auto kFields<GrantFrame> = std::make_tuple(
+    Field("id", &GrantFrame::id), Field("blocks", &GrantFrame::blocks));
+
+template <>
+constexpr auto kFields<AppendFrame> = std::make_tuple(
+    Field("id", &AppendFrame::id), Field("table", &AppendFrame::table),
+    Field("columns", &AppendFrame::columns), Field("rows", &AppendFrame::rows));
+
+template <>
+constexpr auto kFields<AppendOkFrame> = std::make_tuple(
+    Field("id", &AppendOkFrame::id),
+    Field("rows_appended", &AppendOkFrame::rows_appended),
+    Field("version", &AppendOkFrame::version));
+
+template <>
+constexpr auto kFields<PartialFrame> = std::make_tuple(
+    Field("id", &PartialFrame::id), Field("seq", &PartialFrame::seq),
+    Field("queue_ms", &PartialFrame::queue_ms, kOptional),
+    Field("cache", &PartialFrame::cache, kOptional),
+    Field("effective_bound", &PartialFrame::effective_bound, kOptional),
+    Field("progress", &PartialFrame::progress), Field("result", &PartialFrame::result));
+
+template <>
+constexpr auto kFields<FinalFrame> = std::make_tuple(
+    Field("id", &FinalFrame::id), Field("result", &FinalFrame::result),
+    Field("report", &FinalFrame::report));
+
+// Session-level errors, such as malformed frames, carry no id.
+template <>
+constexpr auto kFields<ErrorFrame> = std::make_tuple(
+    Field("id", &ErrorFrame::id, &ErrorFrame::has_id), Field("code", &ErrorFrame::code),
+    Field("message", &ErrorFrame::message));
 
 // --- Values ------------------------------------------------------------------
 // A table Value is encoded as a single-key object tagging its type:
@@ -111,504 +211,272 @@ JsonValue EncodeValue(const Value& value) {
   return out;
 }
 
-Result<Value> DecodeValue(const JsonValue& json) {
+Status DecodeValue(const JsonValue& json, Value& out) {
   if (!json.is_object() || json.members().size() != 1) {
     return Status::InvalidArgument("value must be a single-key tagged object");
   }
   const auto& [tag, v] = json.members().front();
-  if (tag == "i" && v.is_number()) {
-    return Value(v.AsInt());
+  if (tag == "i") {
+    if (const std::optional<int64_t> i = v.AsInt()) {
+      out = Value(*i);
+      return Status::Ok();
+    }
+  } else if (tag == "d" && v.is_number()) {
+    out = Value(v.AsDouble());
+    return Status::Ok();
+  } else if (tag == "s" && v.is_string()) {
+    out = Value(v.AsString());
+    return Status::Ok();
   }
-  if (tag == "d" && v.is_number()) {
-    return Value(v.AsDouble());
-  }
-  if (tag == "s" && v.is_string()) {
-    return Value(v.AsString());
-  }
-  return Status::InvalidArgument("unknown value tag '" + tag + "'");
+  return Status::InvalidArgument("unknown value tag or mistyped value '" + tag + "'");
 }
 
-// --- Frame envelope helpers --------------------------------------------------
+// --- The codec ---------------------------------------------------------------
 
-JsonValue Envelope(FrameType type) {
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+Status Malformed(const char* key) {
+  return Status::InvalidArgument(std::string("missing or mistyped field '") + key +
+                                 "'");
+}
+
+template <typename S>
+void EncodeFields(const S& s, JsonValue& out);
+template <typename S>
+Status DecodeFields(const JsonValue& json, S& out);
+
+// The encoder: one branch per C++ field type.
+template <typename T>
+JsonValue Encode(const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                std::is_same_v<T, std::string>) {
+    return JsonValue(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return JsonValue(static_cast<int64_t>(v));
+  } else if constexpr (std::is_same_v<T, ScheduleMode>) {
+    return JsonValue(ScheduleModeName(v));
+  } else if constexpr (std::is_same_v<T, Value>) {
+    return EncodeValue(v);
+  } else if constexpr (IsVector<T>::value) {
+    JsonValue out = JsonValue::Array();
+    for (const auto& item : v) {
+      out.Append(Encode(item));
+    }
+    return out;
+  } else {
+    JsonValue out = JsonValue::Object();
+    EncodeFields(v, out);
+    return out;
+  }
+}
+
+// The decoder: one checked getter per C++ field type. `key` names the field
+// in errors.
+template <typename T>
+Status Decode(const JsonValue& json, const char* key, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!json.is_bool()) {
+      return Malformed(key);
+    }
+    out = json.AsBool();
+  } else if constexpr (std::is_integral_v<T>) {
+    // docs/PROTOCOL.md §1: integer fields are JSON integers in [0, 2^63),
+    // and narrower members take only what they can hold.
+    constexpr auto kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    const std::optional<int64_t> v = json.AsInt();
+    if (!v || *v < 0 || static_cast<uint64_t>(*v) > kMax) {
+      return Malformed(key);
+    }
+    out = static_cast<T>(*v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!json.is_number()) {
+      return Malformed(key);
+    }
+    out = json.AsDouble();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!json.is_string()) {
+      return Malformed(key);
+    }
+    out = json.AsString();
+  } else if constexpr (std::is_same_v<T, ScheduleMode>) {
+    if (!json.is_string()) {
+      return Malformed(key);
+    }
+    out = json.AsString() == ScheduleModeName(ScheduleMode::kAdaptive)
+              ? ScheduleMode::kAdaptive
+              : ScheduleMode::kUniform;
+  } else if constexpr (std::is_same_v<T, Value>) {
+    return DecodeValue(json, out);
+  } else if constexpr (IsVector<T>::value) {
+    if (!json.is_array()) {
+      return Malformed(key);
+    }
+    out.resize(json.items().size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      BLINK_RETURN_IF_ERROR(Decode(json.items()[i], key, out[i]));
+    }
+  } else {
+    if (!json.is_object()) {
+      return Malformed(key);
+    }
+    return DecodeFields(json, out);
+  }
+  return Status::Ok();
+}
+
+template <typename S, typename T>
+void EncodeField(const S& s, const Field<S, T>& field, JsonValue& out) {
+  if (field.presence == kOmitted &&
+      !(field.seen != nullptr ? s.*field.seen : field.sent(s))) {
+    return;
+  }
+  out.Set(field.key, Encode(s.*field.member));
+}
+
+template <typename S, typename T>
+Status DecodeField(const JsonValue& json, const Field<S, T>& field, S& out) {
+  const JsonValue* v = json.Find(field.key);
+  if (v == nullptr) {
+    return field.presence == kRequired ? Malformed(field.key) : Status::Ok();
+  }
+  if (field.seen != nullptr) {
+    out.*field.seen = true;
+  }
+  return Decode(*v, field.key, out.*field.member);
+}
+
+template <typename S>
+void EncodeFields(const S& s, JsonValue& out) {
+  std::apply([&](const auto&... field) { (EncodeField(s, field, out), ...); },
+             kFields<S>);
+}
+
+template <typename S>
+Status DecodeFields(const JsonValue& json, S& out) {
+  Status status;
+  // Stops at the first field that fails.
+  std::apply(
+      [&](const auto&... field) {
+        (void)((status = DecodeField(json, field, out)).ok() && ...);
+      },
+      kFields<S>);
+  return status;
+}
+
+template <typename S>
+Result<S> DecodeAs(const JsonValue& json, const char* what) {
+  S out;
+  BLINK_RETURN_IF_ERROR(Decode(json, what, out));
+  return out;
+}
+
+// --- Frames ------------------------------------------------------------------
+
+template <typename S>
+Status DecodePayload(const JsonValue& json, Frame& frame) {
+  S payload;
+  BLINK_RETURN_IF_ERROR(DecodeFields(json, payload));
+  if constexpr (std::is_same_v<S, AppendFrame>) {
+    for (const auto& row : payload.rows) {
+      if (row.size() != payload.columns.size()) {
+        return Status::InvalidArgument(
+            "APPEND row width does not match its columns array");
+      }
+    }
+  }
+  frame.payload = std::move(payload);
+  return Status::Ok();
+}
+
+// Wire names and decoders of the frame types, indexed by FrameType.
+struct FrameCodec {
+  const char* name;
+  Status (*decode)(const JsonValue& json, Frame& frame);
+};
+
+constexpr FrameCodec kFrameCodecs[] = {
+    {"HELLO", DecodePayload<HelloFrame>},
+    {"QUERY", DecodePayload<QueryFrame>},
+    {"PARTIAL", DecodePayload<PartialFrame>},
+    {"FINAL", DecodePayload<FinalFrame>},
+    {"ERROR", DecodePayload<ErrorFrame>},
+    {"CANCEL", DecodePayload<CancelFrame>},
+    {"GRANT", DecodePayload<GrantFrame>},
+    {"APPEND", DecodePayload<AppendFrame>},
+    {"APPEND_OK", DecodePayload<AppendOkFrame>},
+};
+static_assert(std::size(kFrameCodecs) == static_cast<size_t>(FrameType::kAppendOk) + 1,
+              "one codec per FrameType, in enum order");
+
+template <typename S>
+std::string EncodeFrame(FrameType type, const S& payload) {
   JsonValue out = JsonValue::Object();
   out.Set("type", FrameTypeName(type));
-  return out;
-}
-
-JsonValue EncodeStringArray(const std::vector<std::string>& strings) {
-  JsonValue out = JsonValue::Array();
-  for (const auto& s : strings) {
-    out.Append(s);
-  }
-  return out;
-}
-
-Result<std::vector<std::string>> DecodeStringArray(const JsonValue& json) {
-  std::vector<std::string> out;
-  out.reserve(json.items().size());
-  for (const auto& item : json.items()) {
-    if (!item.is_string()) {
-      return Status::InvalidArgument("expected an array of strings");
-    }
-    out.push_back(item.AsString());
-  }
-  return out;
+  EncodeFields(payload, out);
+  return out.Serialize();
 }
 
 }  // namespace
 
 const char* FrameTypeName(FrameType type) {
-  switch (type) {
-    case FrameType::kHello:
-      return "HELLO";
-    case FrameType::kQuery:
-      return "QUERY";
-    case FrameType::kPartial:
-      return "PARTIAL";
-    case FrameType::kFinal:
-      return "FINAL";
-    case FrameType::kError:
-      return "ERROR";
-    case FrameType::kCancel:
-      return "CANCEL";
-    case FrameType::kGrant:
-      return "GRANT";
-    case FrameType::kAppend:
-      return "APPEND";
-    case FrameType::kAppendOk:
-      return "APPEND_OK";
-  }
-  return "UNKNOWN";
+  return kFrameCodecs[static_cast<size_t>(type)].name;
 }
 
-JsonValue EncodeQueryResult(const QueryResult& result) {
-  JsonValue out = JsonValue::Object();
-  out.Set("group_names", EncodeStringArray(result.group_names));
-  out.Set("aggregate_names", EncodeStringArray(result.aggregate_names));
-  out.Set("confidence", result.confidence);
-  JsonValue rows = JsonValue::Array();
-  for (const auto& row : result.rows) {
-    JsonValue jrow = JsonValue::Object();
-    JsonValue group = JsonValue::Array();
-    for (const auto& value : row.group_values) {
-      group.Append(EncodeValue(value));
-    }
-    jrow.Set("group", std::move(group));
-    JsonValue aggs = JsonValue::Array();
-    for (const auto& agg : row.aggregates) {
-      JsonValue jagg = JsonValue::Object();
-      jagg.Set("value", agg.value);
-      jagg.Set("variance", agg.variance);
-      aggs.Append(std::move(jagg));
-    }
-    jrow.Set("aggregates", std::move(aggs));
-    rows.Append(std::move(jrow));
-  }
-  out.Set("rows", std::move(rows));
-  JsonValue stats = JsonValue::Object();
-  stats.Set("rows_scanned", result.stats.rows_scanned);
-  stats.Set("rows_matched", result.stats.rows_matched);
-  stats.Set("blocks_scanned", result.stats.blocks_scanned);
-  stats.Set("block_rows", static_cast<uint64_t>(result.stats.block_rows));
-  stats.Set("bytes_scanned", result.stats.bytes_scanned);
-  out.Set("stats", std::move(stats));
-  return out;
-}
+JsonValue EncodeQueryResult(const QueryResult& result) { return Encode(result); }
 
 Result<QueryResult> DecodeQueryResult(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("result must be an object");
-  }
-  QueryResult out;
-  auto group_names = GetArray(json, "group_names");
-  if (!group_names.ok()) {
-    return group_names.status();
-  }
-  auto names = DecodeStringArray(**group_names);
-  if (!names.ok()) {
-    return names.status();
-  }
-  out.group_names = std::move(names.value());
-  auto agg_names = GetArray(json, "aggregate_names");
-  if (!agg_names.ok()) {
-    return agg_names.status();
-  }
-  names = DecodeStringArray(**agg_names);
-  if (!names.ok()) {
-    return names.status();
-  }
-  out.aggregate_names = std::move(names.value());
-  auto confidence = GetDouble(json, "confidence");
-  if (!confidence.ok()) {
-    return confidence.status();
-  }
-  out.confidence = *confidence;
-
-  auto rows = GetArray(json, "rows");
-  if (!rows.ok()) {
-    return rows.status();
-  }
-  for (const auto& jrow : (*rows)->items()) {
-    if (!jrow.is_object()) {
-      return Status::InvalidArgument("row must be an object");
-    }
-    ResultRow row;
-    auto group = GetArray(jrow, "group");
-    if (!group.ok()) {
-      return group.status();
-    }
-    for (const auto& jvalue : (*group)->items()) {
-      auto value = DecodeValue(jvalue);
-      if (!value.ok()) {
-        return value.status();
-      }
-      row.group_values.push_back(std::move(value.value()));
-    }
-    auto aggs = GetArray(jrow, "aggregates");
-    if (!aggs.ok()) {
-      return aggs.status();
-    }
-    for (const auto& jagg : (*aggs)->items()) {
-      if (!jagg.is_object()) {
-        return Status::InvalidArgument("aggregate must be an object");
-      }
-      auto value = GetDouble(jagg, "value");
-      auto variance = GetDouble(jagg, "variance");
-      if (!value.ok() || !variance.ok()) {
-        return Missing("aggregate value/variance");
-      }
-      Estimate estimate;
-      estimate.value = *value;
-      estimate.variance = *variance;
-      row.aggregates.push_back(estimate);
-    }
-    out.rows.push_back(std::move(row));
-  }
-
-  auto stats = GetObject(json, "stats");
-  if (!stats.ok()) {
-    return stats.status();
-  }
-  auto rows_scanned = GetUint(**stats, "rows_scanned");
-  auto rows_matched = GetUint(**stats, "rows_matched");
-  auto blocks_scanned = GetUint(**stats, "blocks_scanned");
-  auto block_rows = GetUint(**stats, "block_rows");
-  auto bytes_scanned = GetDouble(**stats, "bytes_scanned");
-  if (!rows_scanned.ok() || !rows_matched.ok() || !blocks_scanned.ok() ||
-      !block_rows.ok() || !bytes_scanned.ok()) {
-    return Missing("stats");
-  }
-  out.stats.rows_scanned = *rows_scanned;
-  out.stats.rows_matched = *rows_matched;
-  out.stats.blocks_scanned = *blocks_scanned;
-  out.stats.block_rows = static_cast<uint32_t>(*block_rows);
-  out.stats.bytes_scanned = *bytes_scanned;
-  return out;
+  return DecodeAs<QueryResult>(json, "QueryResult");
 }
 
-JsonValue EncodeProgress(const StreamProgress& progress) {
-  JsonValue out = JsonValue::Object();
-  out.Set("blocks_consumed", progress.blocks_consumed);
-  out.Set("blocks_total", progress.blocks_total);
-  out.Set("rows_consumed", progress.rows_consumed);
-  out.Set("rows_total", progress.rows_total);
-  out.Set("achieved_error", progress.achieved_error);
-  out.Set("bound_met", progress.bound_met);
-  out.Set("bytes_scanned", progress.bytes_scanned);
-  out.Set("bytes_decoded", progress.bytes_decoded);
-  return out;
-}
+JsonValue EncodeProgress(const StreamProgress& progress) { return Encode(progress); }
 
 Result<StreamProgress> DecodeProgress(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("progress must be an object");
-  }
-  auto blocks_consumed = GetUint(json, "blocks_consumed");
-  auto blocks_total = GetUint(json, "blocks_total");
-  auto rows_consumed = GetUint(json, "rows_consumed");
-  auto rows_total = GetUint(json, "rows_total");
-  auto achieved_error = GetDouble(json, "achieved_error");
-  if (!blocks_consumed.ok() || !blocks_total.ok() || !rows_consumed.ok() ||
-      !rows_total.ok() || !achieved_error.ok()) {
-    return Missing("progress");
-  }
-  StreamProgress out;
-  out.blocks_consumed = *blocks_consumed;
-  out.blocks_total = *blocks_total;
-  out.rows_consumed = *rows_consumed;
-  out.rows_total = *rows_total;
-  out.achieved_error = *achieved_error;
-  out.bound_met = GetBoolOr(json, "bound_met", false);
-  out.bytes_scanned = GetDoubleOr(json, "bytes_scanned", 0.0);
-  out.bytes_decoded = GetDoubleOr(json, "bytes_decoded", 0.0);
-  return out;
+  return DecodeAs<StreamProgress>(json, "StreamProgress");
 }
 
-JsonValue EncodeReport(const ExecutionReport& report) {
-  JsonValue out = JsonValue::Object();
-  out.Set("family", report.family);
-  out.Set("resolution", report.resolution);
-  out.Set("cap", report.cap);
-  out.Set("rows_read", report.rows_read);
-  out.Set("blocks_read", report.blocks_read);
-  out.Set("blocks_reused", report.blocks_reused);
-  out.Set("blocks_consumed", report.blocks_consumed);
-  out.Set("stopped_early", report.stopped_early);
-  out.Set("cancelled", report.cancelled);
-  out.Set("probe_latency", report.probe_latency);
-  out.Set("execution_latency", report.execution_latency);
-  out.Set("total_latency", report.total_latency);
-  out.Set("queue_latency", report.queue_latency);
-  out.Set("effective_error_bound", report.effective_error_bound);
-  out.Set("cache", report.cache);
-  out.Set("projected_error", report.projected_error);
-  out.Set("achieved_error", report.achieved_error);
-  out.Set("num_subqueries", report.num_subqueries);
-  out.Set("rewrite_fallback", report.rewrite_fallback);
-  out.Set("bytes_scanned", report.bytes_scanned);
-  out.Set("bytes_decoded", report.bytes_decoded);
-  out.Set("schedule", ScheduleModeName(report.schedule));
-  JsonValue elp = JsonValue::Array();
-  for (const auto& point : report.elp) {
-    JsonValue jpoint = JsonValue::Object();
-    jpoint.Set("resolution", point.resolution);
-    jpoint.Set("rows", point.rows);
-    jpoint.Set("blocks", point.blocks);
-    jpoint.Set("projected_error", point.projected_error);
-    jpoint.Set("projected_latency", point.projected_latency);
-    jpoint.Set("projected_matched", point.projected_matched);
-    elp.Append(std::move(jpoint));
-  }
-  out.Set("elp", std::move(elp));
-  JsonValue pipelines = JsonValue::Array();
-  for (const auto& outcome : report.pipeline_outcomes) {
-    JsonValue jout = JsonValue::Object();
-    jout.Set("blocks_total", outcome.blocks_total);
-    jout.Set("blocks_consumed", outcome.blocks_consumed);
-    jout.Set("rows_consumed", outcome.rows_consumed);
-    jout.Set("rows_matched", outcome.rows_matched);
-    jout.Set("reused_probe", outcome.reused_probe);
-    jout.Set("scheduled_rounds", outcome.scheduled_rounds);
-    jout.Set("error_contribution", outcome.error_contribution);
-    jout.Set("bytes_scanned", outcome.bytes_scanned);
-    jout.Set("bytes_decoded", outcome.bytes_decoded);
-    if (outcome.degraded) {
-      jout.Set("degraded", outcome.degraded);
-    }
-    pipelines.Append(std::move(jout));
-  }
-  out.Set("pipeline_outcomes", std::move(pipelines));
-  return out;
-}
+JsonValue EncodeReport(const ExecutionReport& report) { return Encode(report); }
 
 Result<ExecutionReport> DecodeReport(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("report must be an object");
-  }
-  ExecutionReport out;
-  auto family = GetString(json, "family");
-  if (!family.ok()) {
-    return family.status();
-  }
-  out.family = std::move(family.value());
-  auto resolution = GetUint(json, "resolution");
-  auto cap = GetUint(json, "cap");
-  auto rows_read = GetUint(json, "rows_read");
-  auto blocks_read = GetUint(json, "blocks_read");
-  auto blocks_reused = GetUint(json, "blocks_reused");
-  auto blocks_consumed = GetUint(json, "blocks_consumed");
-  auto probe_latency = GetDouble(json, "probe_latency");
-  auto execution_latency = GetDouble(json, "execution_latency");
-  auto total_latency = GetDouble(json, "total_latency");
-  auto projected_error = GetDouble(json, "projected_error");
-  auto achieved_error = GetDouble(json, "achieved_error");
-  auto num_subqueries = GetUint(json, "num_subqueries");
-  auto schedule = GetString(json, "schedule");
-  if (!resolution.ok() || !cap.ok() || !rows_read.ok() || !blocks_read.ok() ||
-      !blocks_reused.ok() || !blocks_consumed.ok() || !probe_latency.ok() ||
-      !execution_latency.ok() || !total_latency.ok() || !projected_error.ok() ||
-      !achieved_error.ok() || !num_subqueries.ok() || !schedule.ok()) {
-    return Missing("report");
-  }
-  out.resolution = static_cast<size_t>(*resolution);
-  out.cap = *cap;
-  out.rows_read = *rows_read;
-  out.blocks_read = *blocks_read;
-  out.blocks_reused = *blocks_reused;
-  out.blocks_consumed = *blocks_consumed;
-  out.stopped_early = GetBoolOr(json, "stopped_early", false);
-  out.cancelled = GetBoolOr(json, "cancelled", false);
-  out.probe_latency = *probe_latency;
-  out.execution_latency = *execution_latency;
-  out.total_latency = *total_latency;
-  out.projected_error = *projected_error;
-  out.achieved_error = *achieved_error;
-  out.num_subqueries = static_cast<size_t>(*num_subqueries);
-  out.rewrite_fallback = GetBoolOr(json, "rewrite_fallback", false);
-  out.bytes_scanned = GetDoubleOr(json, "bytes_scanned", 0.0);
-  out.bytes_decoded = GetDoubleOr(json, "bytes_decoded", 0.0);
-  out.queue_latency = GetDoubleOr(json, "queue_latency", 0.0);
-  out.effective_error_bound = GetDoubleOr(json, "effective_error_bound", 0.0);
-  out.cache = GetStringOr(json, "cache", "");
-  out.schedule = schedule.value() == "adaptive" ? ScheduleMode::kAdaptive
-                                                : ScheduleMode::kUniform;
-  if (const JsonValue* elp = json.Find("elp"); elp != nullptr && elp->is_array()) {
-    for (const auto& jpoint : elp->items()) {
-      if (!jpoint.is_object()) {
-        return Missing("elp point");
-      }
-      auto res = GetUint(jpoint, "resolution");
-      auto rows = GetUint(jpoint, "rows");
-      auto blocks = GetUint(jpoint, "blocks");
-      auto err = GetDouble(jpoint, "projected_error");
-      auto lat = GetDouble(jpoint, "projected_latency");
-      auto matched = GetDouble(jpoint, "projected_matched");
-      if (!res.ok() || !rows.ok() || !blocks.ok() || !err.ok() || !lat.ok() ||
-          !matched.ok()) {
-        return Missing("elp point");
-      }
-      ElpPoint point;
-      point.resolution = static_cast<size_t>(*res);
-      point.rows = *rows;
-      point.blocks = *blocks;
-      point.projected_error = *err;
-      point.projected_latency = *lat;
-      point.projected_matched = *matched;
-      out.elp.push_back(point);
-    }
-  }
-  if (const JsonValue* pipelines = json.Find("pipeline_outcomes");
-      pipelines != nullptr && pipelines->is_array()) {
-    for (const auto& jout : pipelines->items()) {
-      if (!jout.is_object()) {
-        return Missing("pipeline outcome");
-      }
-      auto blocks_tot = GetUint(jout, "blocks_total");
-      auto blocks_con = GetUint(jout, "blocks_consumed");
-      auto rows_con = GetUint(jout, "rows_consumed");
-      auto rows_mat = GetUint(jout, "rows_matched");
-      auto rounds = GetUint(jout, "scheduled_rounds");
-      auto contribution = GetDouble(jout, "error_contribution");
-      if (!blocks_tot.ok() || !blocks_con.ok() || !rows_con.ok() || !rows_mat.ok() ||
-          !rounds.ok() || !contribution.ok()) {
-        return Missing("pipeline outcome");
-      }
-      PipelineOutcome outcome;
-      outcome.blocks_total = *blocks_tot;
-      outcome.blocks_consumed = *blocks_con;
-      outcome.rows_consumed = *rows_con;
-      outcome.rows_matched = *rows_mat;
-      outcome.reused_probe = GetBoolOr(jout, "reused_probe", false);
-      outcome.scheduled_rounds = *rounds;
-      outcome.error_contribution = *contribution;
-      outcome.bytes_scanned = GetDoubleOr(jout, "bytes_scanned", 0.0);
-      outcome.bytes_decoded = GetDoubleOr(jout, "bytes_decoded", 0.0);
-      outcome.degraded = GetBoolOr(jout, "degraded", false);
-      out.pipeline_outcomes.push_back(outcome);
-    }
-  }
-  return out;
+  return DecodeAs<ExecutionReport>(json, "ExecutionReport");
 }
 
 std::string EncodeHello(const HelloFrame& hello) {
-  JsonValue out = Envelope(FrameType::kHello);
-  out.Set("protocol_version", hello.protocol_version);
-  out.Set("peer", hello.peer);
-  if (!hello.tables.empty()) {
-    out.Set("tables", EncodeStringArray(hello.tables));
-  }
-  if (hello.shard_count > 0) {
-    out.Set("shard_index", hello.shard_index);
-    out.Set("shard_count", hello.shard_count);
-  }
-  return out.Serialize();
+  return EncodeFrame(FrameType::kHello, hello);
 }
 
 std::string EncodeQuery(const QueryFrame& query) {
-  JsonValue out = Envelope(FrameType::kQuery);
-  out.Set("id", query.id);
-  out.Set("sql", query.sql);
-  // Pacing fields are emitted only when set, so classic clients' frames are
-  // byte-identical to protocol v1 before this extension.
-  if (query.round_blocks > 0) {
-    out.Set("round_blocks", query.round_blocks);
-  }
-  if (query.grant_blocks > 0) {
-    out.Set("grant_blocks", query.grant_blocks);
-  }
-  if (query.confidence > 0) {
-    out.Set("confidence", query.confidence);
-  }
-  return out.Serialize();
+  return EncodeFrame(FrameType::kQuery, query);
 }
 
 std::string EncodeCancel(const CancelFrame& cancel) {
-  JsonValue out = Envelope(FrameType::kCancel);
-  out.Set("id", cancel.id);
-  return out.Serialize();
+  return EncodeFrame(FrameType::kCancel, cancel);
 }
 
 std::string EncodeGrant(const GrantFrame& grant) {
-  JsonValue out = Envelope(FrameType::kGrant);
-  out.Set("id", grant.id);
-  out.Set("blocks", grant.blocks);
-  return out.Serialize();
+  return EncodeFrame(FrameType::kGrant, grant);
 }
 
 std::string EncodeAppend(const AppendFrame& append) {
-  JsonValue out = Envelope(FrameType::kAppend);
-  out.Set("id", append.id);
-  out.Set("table", append.table);
-  out.Set("columns", EncodeStringArray(append.columns));
-  JsonValue rows = JsonValue::Array();
-  for (const auto& row : append.rows) {
-    JsonValue jrow = JsonValue::Array();
-    for (const auto& value : row) {
-      jrow.Append(EncodeValue(value));
-    }
-    rows.Append(std::move(jrow));
-  }
-  out.Set("rows", std::move(rows));
-  return out.Serialize();
+  return EncodeFrame(FrameType::kAppend, append);
 }
 
 std::string EncodeAppendOk(const AppendOkFrame& ok) {
-  JsonValue out = Envelope(FrameType::kAppendOk);
-  out.Set("id", ok.id);
-  out.Set("rows_appended", ok.rows_appended);
-  out.Set("version", ok.version);
-  return out.Serialize();
+  return EncodeFrame(FrameType::kAppendOk, ok);
 }
 
 std::string EncodePartial(const PartialFrame& partial) {
-  JsonValue out = Envelope(FrameType::kPartial);
-  out.Set("id", partial.id);
-  out.Set("seq", partial.seq);
-  out.Set("queue_ms", partial.queue_ms);
-  out.Set("cache", partial.cache);
-  out.Set("effective_bound", partial.effective_bound);
-  out.Set("progress", EncodeProgress(partial.progress));
-  out.Set("result", EncodeQueryResult(partial.result));
-  return out.Serialize();
+  return EncodeFrame(FrameType::kPartial, partial);
 }
 
 std::string EncodeFinal(const FinalFrame& final_frame) {
-  JsonValue out = Envelope(FrameType::kFinal);
-  out.Set("id", final_frame.id);
-  out.Set("result", EncodeQueryResult(final_frame.result));
-  out.Set("report", EncodeReport(final_frame.report));
-  return out.Serialize();
+  return EncodeFrame(FrameType::kFinal, final_frame);
 }
 
 std::string EncodeError(const ErrorFrame& error) {
-  JsonValue out = Envelope(FrameType::kError);
-  if (error.has_id) {
-    out.Set("id", error.id);
-  }
-  out.Set("code", error.code);
-  out.Set("message", error.message);
-  return out.Serialize();
+  return EncodeFrame(FrameType::kError, error);
 }
 
 Result<Frame> DecodeFrame(std::string_view payload) {
@@ -620,197 +488,28 @@ Result<Frame> DecodeFrame(std::string_view payload) {
   if (!json.is_object()) {
     return Status::InvalidArgument("frame must be a JSON object");
   }
-  auto type = GetString(json, "type");
-  if (!type.ok()) {
-    return type.status();
+  const JsonValue* type = json.Find("type");
+  if (type == nullptr || !type->is_string()) {
+    return Malformed("type");
   }
+  for (size_t i = 0; i < std::size(kFrameCodecs); ++i) {
+    if (type->AsString() == kFrameCodecs[i].name) {
+      Frame frame;
+      frame.type = static_cast<FrameType>(i);
+      BLINK_RETURN_IF_ERROR(kFrameCodecs[i].decode(json, frame));
+      return frame;
+    }
+  }
+  return Status::Unimplemented("unknown frame type '" + type->AsString() + "'");
+}
 
-  Frame frame;
-  if (*type == "HELLO") {
-    frame.type = FrameType::kHello;
-    HelloFrame hello;
-    auto version = GetUint(json, "protocol_version");
-    if (!version.ok()) {
-      return version.status();
-    }
-    hello.protocol_version = static_cast<int64_t>(*version);
-    if (const JsonValue* peer = json.Find("peer"); peer != nullptr && peer->is_string()) {
-      hello.peer = peer->AsString();
-    }
-    if (const JsonValue* tables = json.Find("tables");
-        tables != nullptr && tables->is_array()) {
-      auto names = DecodeStringArray(*tables);
-      if (!names.ok()) {
-        return names.status();
-      }
-      hello.tables = std::move(names.value());
-    }
-    hello.shard_index = GetUintOr(json, "shard_index", 0);
-    hello.shard_count = GetUintOr(json, "shard_count", 0);
-    frame.payload = std::move(hello);
-    return frame;
-  }
-  if (*type == "QUERY") {
-    frame.type = FrameType::kQuery;
-    QueryFrame query;
-    auto id = GetUint(json, "id");
-    auto sql = GetString(json, "sql");
-    if (!id.ok() || !sql.ok()) {
-      return Missing("id/sql");
-    }
-    query.id = *id;
-    query.sql = std::move(sql.value());
-    query.round_blocks = GetUintOr(json, "round_blocks", 0);
-    query.grant_blocks = GetUintOr(json, "grant_blocks", 0);
-    query.confidence = GetDoubleOr(json, "confidence", 0.0);
-    frame.payload = std::move(query);
-    return frame;
-  }
-  if (*type == "CANCEL") {
-    frame.type = FrameType::kCancel;
-    CancelFrame cancel;
-    auto id = GetUint(json, "id");
-    if (!id.ok()) {
-      return id.status();
-    }
-    cancel.id = *id;
-    frame.payload = cancel;
-    return frame;
-  }
-  if (*type == "GRANT") {
-    frame.type = FrameType::kGrant;
-    GrantFrame grant;
-    auto id = GetUint(json, "id");
-    auto blocks = GetUint(json, "blocks");
-    if (!id.ok() || !blocks.ok()) {
-      return Missing("id/blocks");
-    }
-    grant.id = *id;
-    grant.blocks = *blocks;
-    frame.payload = grant;
-    return frame;
-  }
-  if (*type == "APPEND") {
-    frame.type = FrameType::kAppend;
-    AppendFrame append;
-    auto id = GetUint(json, "id");
-    auto table = GetString(json, "table");
-    auto columns = GetArray(json, "columns");
-    auto rows = GetArray(json, "rows");
-    if (!id.ok() || !table.ok() || !columns.ok() || !rows.ok()) {
-      return Missing("id/table/columns/rows");
-    }
-    append.id = *id;
-    append.table = std::move(table.value());
-    auto names = DecodeStringArray(**columns);
-    if (!names.ok()) {
-      return names.status();
-    }
-    append.columns = std::move(names.value());
-    append.rows.reserve((*rows)->items().size());
-    for (const auto& jrow : (*rows)->items()) {
-      if (!jrow.is_array() || jrow.items().size() != append.columns.size()) {
-        return Status::InvalidArgument(
-            "APPEND row width does not match its columns array");
-      }
-      std::vector<Value> row;
-      row.reserve(jrow.items().size());
-      for (const auto& jvalue : jrow.items()) {
-        auto value = DecodeValue(jvalue);
-        if (!value.ok()) {
-          return value.status();
-        }
-        row.push_back(std::move(value.value()));
-      }
-      append.rows.push_back(std::move(row));
-    }
-    frame.payload = std::move(append);
-    return frame;
-  }
-  if (*type == "APPEND_OK") {
-    frame.type = FrameType::kAppendOk;
-    AppendOkFrame ok;
-    auto id = GetUint(json, "id");
-    auto rows_appended = GetUint(json, "rows_appended");
-    auto version = GetUint(json, "version");
-    if (!id.ok() || !rows_appended.ok() || !version.ok()) {
-      return Missing("id/rows_appended/version");
-    }
-    ok.id = *id;
-    ok.rows_appended = *rows_appended;
-    ok.version = *version;
-    frame.payload = ok;
-    return frame;
-  }
-  if (*type == "PARTIAL") {
-    frame.type = FrameType::kPartial;
-    PartialFrame partial;
-    auto id = GetUint(json, "id");
-    auto seq = GetUint(json, "seq");
-    auto progress = GetObject(json, "progress");
-    auto result = GetObject(json, "result");
-    if (!id.ok() || !seq.ok() || !progress.ok() || !result.ok()) {
-      return Missing("id/seq/progress/result");
-    }
-    partial.id = *id;
-    partial.seq = *seq;
-    partial.queue_ms = GetDoubleOr(json, "queue_ms", 0.0);
-    partial.cache = GetStringOr(json, "cache", "");
-    partial.effective_bound = GetDoubleOr(json, "effective_bound", 0.0);
-    auto decoded_progress = DecodeProgress(**progress);
-    if (!decoded_progress.ok()) {
-      return decoded_progress.status();
-    }
-    partial.progress = decoded_progress.value();
-    auto decoded_result = DecodeQueryResult(**result);
-    if (!decoded_result.ok()) {
-      return decoded_result.status();
-    }
-    partial.result = std::move(decoded_result.value());
-    frame.payload = std::move(partial);
-    return frame;
-  }
-  if (*type == "FINAL") {
-    frame.type = FrameType::kFinal;
-    FinalFrame final_frame;
-    auto id = GetUint(json, "id");
-    auto result = GetObject(json, "result");
-    auto report = GetObject(json, "report");
-    if (!id.ok() || !result.ok() || !report.ok()) {
-      return Missing("id/result/report");
-    }
-    final_frame.id = *id;
-    auto decoded_result = DecodeQueryResult(**result);
-    if (!decoded_result.ok()) {
-      return decoded_result.status();
-    }
-    final_frame.result = std::move(decoded_result.value());
-    auto decoded_report = DecodeReport(**report);
-    if (!decoded_report.ok()) {
-      return decoded_report.status();
-    }
-    final_frame.report = std::move(decoded_report.value());
-    frame.payload = std::move(final_frame);
-    return frame;
-  }
-  if (*type == "ERROR") {
-    frame.type = FrameType::kError;
-    ErrorFrame error;
-    if (const JsonValue* id = json.Find("id"); id != nullptr && id->is_number()) {
-      error.has_id = true;
-      error.id = id->AsUint();
-    }
-    auto code = GetString(json, "code");
-    auto message = GetString(json, "message");
-    if (!code.ok() || !message.ok()) {
-      return Missing("code/message");
-    }
-    error.code = std::move(code.value());
-    error.message = std::move(message.value());
-    frame.payload = std::move(error);
-    return frame;
-  }
-  return Status::Unimplemented("unknown frame type '" + *type + "'");
+uint32_t PaceWorkerStatement(const QueryFrame& query, SelectStatement& stmt) {
+  stmt.bounds.kind = QueryBounds::Kind::kError;
+  stmt.bounds.error = 0.0;
+  stmt.bounds.relative = true;
+  stmt.bounds.confidence = query.confidence > 0 ? query.confidence : kDefaultConfidence;
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(query.round_blocks, std::numeric_limits<uint32_t>::max()));
 }
 
 }  // namespace blink

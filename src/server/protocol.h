@@ -10,7 +10,9 @@
 // DecodeFrame parses an inbound payload into the tagged Frame union and is
 // shared by both peers (the server decodes HELLO/QUERY/CANCEL, the client
 // decodes HELLO/PARTIAL/FINAL/ERROR — direction is enforced by the session
-// logic, not the codec). Doubles round-trip bit-exactly (src/util/json.h),
+// logic, not the codec). Both walk one field table per wire struct
+// (protocol.cc), so each field's key and presence rule is written once.
+// Doubles round-trip bit-exactly (src/util/json.h),
 // which is what makes a FINAL frame's answer bit-identical to the in-process
 // BlinkDB::Query result.
 #ifndef BLINKDB_SERVER_PROTOCOL_H_
@@ -107,6 +109,15 @@ struct QueryFrame {
   double confidence = 0.0;
 };
 
+// The worker side of the paced contract (docs/PROTOCOL.md §6): a paced QUERY
+// runs `stmt` with a 0 relative error target at the QUERY's confidence
+// (kDefaultConfidence when it gives none), so the worker never self-stops and
+// its grant gate is the only pacing. Returns the round cadence as the
+// runtime's batch override, clamped to uint32. Worker sessions and the
+// blinkdb_coord --selfcheck reference both call it, so the reference runs
+// exactly the statement the workers run.
+uint32_t PaceWorkerStatement(const QueryFrame& query, SelectStatement& stmt);
+
 struct CancelFrame {
   uint64_t id = 0;
 };
@@ -198,8 +209,9 @@ std::string EncodeError(const ErrorFrame& error);
 
 // Parses one frame payload. InvalidArgument covers both JSON syntax errors
 // and structurally invalid frames (missing "type", missing required fields,
-// wrong field types) — the MALFORMED_FRAME case; an unknown "type" string
-// maps to Unimplemented — the UNKNOWN_TYPE case.
+// a present field of the wrong type, an integer that is fractional or out of
+// its range) — the MALFORMED_FRAME case; an unknown "type" string maps to
+// Unimplemented — the UNKNOWN_TYPE case.
 Result<Frame> DecodeFrame(std::string_view payload);
 
 // Building blocks, exposed for tests: answers and reports round-trip through

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -178,19 +177,12 @@ class BlinkServer::Session final : public WireSession {
       if (!tables.ok()) {
         return tables.status();
       }
-      if (paced) {
-        // Paced (coordinator-driven) execution: the worker streams its
-        // largest resolution in coordinator-sized rounds and never
-        // self-stops — a target error of 0 disables the stopping rule, so
-        // the grant gate below is the only pacing. The coordinator owns the
-        // joint stopping decision across shards (§4.3); any bound clause in
-        // the scattered SQL was already stripped by it.
-        stmt->bounds.kind = QueryBounds::Kind::kError;
-        stmt->bounds.error = 0.0;
-        stmt->bounds.relative = true;
-        stmt->bounds.confidence =
-            query.confidence > 0 ? query.confidence : kDefaultConfidence;
-      }
+      // Paced (coordinator-driven) execution streams the largest resolution
+      // in coordinator-sized rounds and never self-stops, so the grant gate
+      // below is the only pacing. The coordinator owns the joint stopping
+      // decision across shards (§4.3); any bound clause in the scattered SQL
+      // was already stripped by it.
+      const uint32_t batch_override = paced ? PaceWorkerStatement(query, *stmt) : 0;
       // Load shedding: under queue pressure a relative error bound widens to
       // the ladder rung (never narrows) — a coarser answer now instead of
       // BUSY. Absolute bounds are column-scaled, so the relative ladder
@@ -260,10 +252,6 @@ class BlinkServer::Session final : public WireSession {
           cache_ctx.key_suffix = pinned->fingerprint;
         }
       }
-      const uint32_t batch_override =
-          paced ? static_cast<uint32_t>(std::min<uint64_t>(
-                      query.round_blocks, std::numeric_limits<uint32_t>::max()))
-                : 0;
       return runtime.ExecuteLeveled(
           *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
           pinned.has_value() ? pinned->levels : flat,

@@ -58,9 +58,8 @@ struct ServerOptions {
   // concurrently across all sessions; further queries wait their turn in the
   // admission queue.
   size_t max_concurrent_queries = 4;
-  // Deadline-aware admission queue (src/server/admission.h): waiting depth,
-  // queue deadline, and the load-shedding ladder of widened error bounds.
-  // BUSY is answered only when the queue itself is full.
+  // Deadline-aware admission queue (src/server/admission.h): waiting depth
+  // and queue deadline. BUSY is answered only when the queue itself is full.
   AdmissionOptions admission;
   // Answer-cache entries shared by every worker's runtime; 0 disables
   // caching (every query executes cold, the pre-cache behavior).

@@ -43,8 +43,6 @@ double RunningMoments::variance_sample() const {
   return m2_ / (count_ - 1.0);
 }
 
-double RunningMoments::stddev_sample() const { return std::sqrt(variance_sample()); }
-
 double SampleQuantile(const std::vector<double>& sorted, double p) {
   assert(!sorted.empty());
   assert(p >= 0.0 && p <= 1.0);

@@ -25,8 +25,6 @@ class RunningMoments {
   double variance_population() const;
   // Unbiased sample variance (n-1 denominator); 0 if count <= 1.
   double variance_sample() const;
-  // sqrt(variance_sample()).
-  double stddev_sample() const;
   // Sum of weighted observations.
   double sum() const { return mean_ * count_; }
 

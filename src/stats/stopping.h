@@ -63,8 +63,6 @@ struct StopPolicy {
   // Hard cap on blocks consumed (a time bound's block budget); 0 = none.
   uint64_t max_blocks = 0;
 
-  bool never_stops() const { return target_error <= 0.0 && max_blocks == 0; }
-
   struct Decision {
     // Worst error over the partial answer's groups/aggregates at `confidence`.
     double achieved_error = 0.0;

@@ -123,53 +123,6 @@ double Table::GetNumeric(size_t col, uint64_t row) const {
   return c.doubles[row];
 }
 
-void Table::GatherNumeric(size_t col, uint64_t base, const uint32_t* sel, size_t count,
-                          double* out) const {
-  const Column& c = columns_[col];
-  if (c.type == DataType::kInt64) {
-    const int64_t* data = c.ints.data() + base;
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = static_cast<double>(data[sel[i]]);
-    }
-    return;
-  }
-  assert(c.type == DataType::kDouble);
-  const double* data = c.doubles.data() + base;
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = data[sel[i]];
-  }
-}
-
-void Table::GatherCellKeys(size_t col, uint64_t base, const uint32_t* sel, size_t count,
-                           int64_t* out) const {
-  const Column& c = columns_[col];
-  switch (c.type) {
-    case DataType::kInt64: {
-      const int64_t* data = c.ints.data() + base;
-      for (size_t i = 0; i < count; ++i) {
-        out[i] = data[sel[i]];
-      }
-      return;
-    }
-    case DataType::kString: {
-      const int32_t* data = c.codes.data() + base;
-      for (size_t i = 0; i < count; ++i) {
-        out[i] = data[sel[i]];
-      }
-      return;
-    }
-    case DataType::kDouble: {
-      const double* data = c.doubles.data() + base;
-      for (size_t i = 0; i < count; ++i) {
-        int64_t bits;
-        std::memcpy(&bits, &data[sel[i]], sizeof(bits));
-        out[i] = bits;
-      }
-      return;
-    }
-  }
-}
-
 ColumnSpan Table::BlockSpan(size_t col, uint64_t base) const {
   const Column& c = columns_[col];
   ColumnSpan span;

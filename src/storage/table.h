@@ -97,15 +97,6 @@ class Table {
   const double* DoubleData(size_t col) const { return columns_[col].doubles.data(); }
   const int32_t* CodeData(size_t col) const { return columns_[col].codes.data(); }
 
-  // Gathers the numeric values of rows {base + sel[i]} into out[i]. The type
-  // dispatch happens once per block instead of once per row.
-  void GatherNumeric(size_t col, uint64_t base, const uint32_t* sel, size_t count,
-                     double* out) const;
-
-  // Gathers CellKey(col, base + sel[i]) into out[i].
-  void GatherCellKeys(size_t col, uint64_t base, const uint32_t* sel, size_t count,
-                      int64_t* out) const;
-
   // Base-relative view of one column's raw storage starting at row `base` —
   // the zero-copy counterpart of EncodedTable::DecodeRange.
   ColumnSpan BlockSpan(size_t col, uint64_t base) const;

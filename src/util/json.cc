@@ -343,14 +343,20 @@ JsonValue::Kind JsonValue::kind() const {
   }
 }
 
-int64_t JsonValue::AsInt() const {
-  if (kind() == Kind::kDouble) {
-    return static_cast<int64_t>(std::get<double>(data_));
+std::optional<int64_t> JsonValue::AsInt() const {
+  if (kind() == Kind::kInt) {
+    return std::get<int64_t>(data_);
   }
-  return std::get<int64_t>(data_);
+  if (kind() != Kind::kDouble) {
+    return std::nullopt;
+  }
+  // The negated range test also rejects NaN; in range, the cast is exact.
+  const double d = std::get<double>(data_);
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) || std::trunc(d) != d) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(d);
 }
-
-uint64_t JsonValue::AsUint() const { return static_cast<uint64_t>(AsInt()); }
 
 double JsonValue::AsDouble() const {
   if (kind() == Kind::kInt) {

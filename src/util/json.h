@@ -15,6 +15,7 @@
 #define BLINKDB_UTIL_JSON_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,9 +58,12 @@ class JsonValue {
   bool is_object() const { return kind() == Kind::kObject; }
 
   bool AsBool() const { return std::get<bool>(data_); }
-  // Numeric views: kInt and kDouble interconvert (counts arrive as either).
-  int64_t AsInt() const;
-  uint64_t AsUint() const;
+  // The number's exact integer value: a JSON integer, or a double with no
+  // fractional part inside [-2^63, 2^63) (a count may arrive as "3.0").
+  // Empty for fractions, out-of-range magnitudes and non-numbers. This is the
+  // only integer view, so no caller casts, wraps or truncates a double.
+  std::optional<int64_t> AsInt() const;
+  // Any number as a double (a JSON integer converts).
   double AsDouble() const;
   const std::string& AsString() const { return std::get<std::string>(data_); }
 

@@ -1,7 +1,9 @@
 // Streaming query server: loopback integration + protocol units.
 //
 //  - Codec: JSON values round-trip bit-exactly (17-digit doubles), every
-//    frame type encodes/decodes, malformed payloads are rejected.
+//    frame type encodes/decodes, malformed payloads are rejected (integers
+//    out of the protocol's rule included), dropping a key fails exactly when
+//    it is required, and seeded mutants fail or re-encode stably.
 //  - Serving: N concurrent clients get FINAL answers bit-identical to a
 //    direct in-process BlinkDB::Query under the same runtime settings;
 //    PARTIAL sequences are monotone in blocks_consumed and precede FINAL
@@ -33,9 +35,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <future>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -215,6 +222,202 @@ QueryResult SampleResult() {
   return result;
 }
 
+AppendFrame SampleAppend() {
+  AppendFrame append;
+  append.id = 9;
+  append.table = "sessions";
+  append.columns = {"customer_id", "bitrate", "city"};
+  append.rows = {{Value(int64_t{-42}), Value(2500.25), Value("city_\"9\"")},
+                 {Value(int64_t{7}), Value(42.0), Value("")}};
+  return append;
+}
+
+HelloFrame ShardHello() {
+  HelloFrame hello;
+  hello.peer = "blinkdb-server/1";
+  hello.tables = {"sessions"};
+  hello.shard_index = 0;  // worker 0 still sends its index
+  hello.shard_count = 2;
+  return hello;
+}
+
+QueryFrame PacedQuery() {
+  QueryFrame query;
+  query.id = 9;
+  query.sql = "SELECT COUNT(*) FROM sessions";
+  query.round_blocks = 4;
+  query.grant_blocks = 8;
+  query.confidence = 0.9;
+  return query;
+}
+
+// A report with every optional field set, ELP points, and one degraded
+// pipeline beside one that is not.
+ExecutionReport SampleReport() {
+  ExecutionReport report;
+  report.family = "{city}";
+  report.resolution = 3;
+  report.cap = 500;
+  report.rows_read = 12345;
+  report.blocks_read = 48;
+  report.blocks_reused = 6;
+  report.blocks_consumed = 48;
+  report.stopped_early = true;
+  report.cancelled = true;
+  report.probe_latency = 0.25;
+  report.execution_latency = 1.5;
+  report.total_latency = 1.75;
+  report.queue_latency = 0.125;
+  report.effective_error_bound = 0.05;
+  report.cache = "miss";
+  report.projected_error = 0.04;
+  report.achieved_error = 0.031;
+  report.num_subqueries = 2;
+  report.rewrite_fallback = true;
+  report.bytes_scanned = 9211.5;
+  report.bytes_decoded = 40960.0;
+  report.schedule = ScheduleMode::kAdaptive;
+  report.elp.push_back({0, 1000, 4, 0.1, 0.5, 30.0});
+  report.elp.push_back({1, 4000, 16, 0.05, 2.0, 120.5});
+  PipelineOutcome outcome;
+  outcome.blocks_total = 30;
+  outcome.blocks_consumed = 20;
+  outcome.rows_consumed = 5120;
+  outcome.rows_matched = 77;
+  outcome.reused_probe = true;
+  outcome.scheduled_rounds = 5;
+  outcome.error_contribution = 0.625;
+  outcome.bytes_scanned = 9211.5;
+  outcome.bytes_decoded = 40960.0;
+  report.pipeline_outcomes.push_back(outcome);
+  outcome.degraded = true;
+  report.pipeline_outcomes.push_back(outcome);
+  return report;
+}
+
+// Re-encodes a decoded frame with its type's encoder.
+std::string EncodeAny(const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kHello:
+      return EncodeHello(std::get<HelloFrame>(frame.payload));
+    case FrameType::kQuery:
+      return EncodeQuery(std::get<QueryFrame>(frame.payload));
+    case FrameType::kPartial:
+      return EncodePartial(std::get<PartialFrame>(frame.payload));
+    case FrameType::kFinal:
+      return EncodeFinal(std::get<FinalFrame>(frame.payload));
+    case FrameType::kError:
+      return EncodeError(std::get<ErrorFrame>(frame.payload));
+    case FrameType::kCancel:
+      return EncodeCancel(std::get<CancelFrame>(frame.payload));
+    case FrameType::kGrant:
+      return EncodeGrant(std::get<GrantFrame>(frame.payload));
+    case FrameType::kAppend:
+      return EncodeAppend(std::get<AppendFrame>(frame.payload));
+    case FrameType::kAppendOk:
+      return EncodeAppendOk(std::get<AppendOkFrame>(frame.payload));
+  }
+  return "";
+}
+
+// One encoded frame of every type, with every field that can be omitted
+// present: a shard HELLO, a paced QUERY, an ERROR with an id, a PARTIAL and
+// a FINAL whose nested arrays are all non-empty.
+std::vector<std::string> EveryFrameShape() {
+  HelloFrame client_hello;
+  client_hello.peer = "test/1";
+  QueryFrame classic;
+  classic.id = 9;
+  classic.sql = "SELECT 1";
+  PartialFrame partial;
+  partial.id = 9;
+  partial.seq = 3;
+  partial.queue_ms = 1.25;
+  partial.cache = "resume";
+  partial.effective_bound = 0.05;
+  partial.progress.blocks_consumed = 8;
+  partial.progress.blocks_total = 64;
+  partial.progress.rows_consumed = 2048;
+  partial.progress.rows_total = 16384;
+  partial.progress.achieved_error = 0.07;
+  partial.progress.bound_met = true;
+  partial.progress.bytes_scanned = 512.0;
+  partial.progress.bytes_decoded = 2048.0;
+  partial.result = SampleResult();
+  FinalFrame final_frame;
+  final_frame.id = 9;
+  final_frame.result = SampleResult();
+  final_frame.report = SampleReport();
+  ErrorFrame error;
+  error.has_id = true;
+  error.id = 9;
+  error.code = wire_error::kBusy;
+  error.message = "queue full";
+  GrantFrame grant;
+  grant.id = 9;
+  grant.blocks = 12;
+  AppendOkFrame ok;
+  ok.id = 9;
+  ok.rows_appended = 2;
+  ok.version = 5;
+  return {EncodeHello(client_hello), EncodeHello(ShardHello()),
+          EncodeQuery(classic),      EncodeQuery(PacedQuery()),
+          EncodePartial(partial),    EncodeFinal(final_frame),
+          EncodeError(error),        EncodeCancel(CancelFrame{9}),
+          EncodeGrant(grant),        EncodeAppend(SampleAppend()),
+          EncodeAppendOk(ok)};
+}
+
+// Every key path of `json`: object keys, with "[]" standing for every element
+// of an array.
+void CollectKeyPaths(const JsonValue& json, std::vector<std::string> prefix,
+                     std::set<std::vector<std::string>>& out) {
+  if (json.is_object()) {
+    for (const auto& [key, value] : json.members()) {
+      if (prefix.empty() && key == "type") {
+        continue;  // dropping it is the UNKNOWN_TYPE case, not a field
+      }
+      std::vector<std::string> path = prefix;
+      path.push_back(key);
+      out.insert(path);
+      CollectKeyPaths(value, path, out);
+    }
+  } else if (json.is_array()) {
+    prefix.push_back("[]");
+    for (const auto& item : json.items()) {
+      CollectKeyPaths(item, prefix, out);
+    }
+  }
+}
+
+// A copy of `json` without the key at `path` (in every element a "[]" step
+// passes through).
+JsonValue WithoutKey(const JsonValue& json, const std::vector<std::string>& path,
+                     size_t depth) {
+  if (depth == path.size()) {
+    return json;
+  }
+  if (json.is_array()) {
+    JsonValue out = JsonValue::Array();
+    for (const auto& item : json.items()) {
+      out.Append(path[depth] == "[]" ? WithoutKey(item, path, depth + 1) : item);
+    }
+    return out;
+  }
+  if (!json.is_object()) {
+    return json;
+  }
+  JsonValue out = JsonValue::Object();
+  for (const auto& [key, value] : json.members()) {
+    if (key != path[depth]) {
+      out.Set(key, value);
+    } else if (depth + 1 < path.size()) {
+      out.Set(key, WithoutKey(value, path, depth + 1));
+    }
+  }
+  return out;
+}
+
 TEST(ProtocolTest, QueryResultRoundTripsBitExactly) {
   const QueryResult original = SampleResult();
   auto decoded = DecodeQueryResult(EncodeQueryResult(original));
@@ -361,6 +564,77 @@ TEST(ProtocolTest, EveryFrameTypeRoundTrips) {
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->type, FrameType::kError);
   EXPECT_EQ(std::get<ErrorFrame>(frame->payload).code, wire_error::kQueryFailed);
+
+  // The remaining frame types, and the shapes whose fields are omitted or
+  // only sometimes sent.
+  for (const std::string& payload : EveryFrameShape()) {
+    frame = DecodeFrame(payload);
+    ASSERT_TRUE(frame.ok()) << payload << ": " << frame.status().ToString();
+    EXPECT_EQ(EncodeAny(*frame), payload);
+  }
+  GrantFrame grant;
+  grant.id = 9;
+  grant.blocks = 40;
+  frame = DecodeFrame(EncodeGrant(grant));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->type, FrameType::kGrant);
+  EXPECT_EQ(std::get<GrantFrame>(frame->payload).blocks, 40u);
+
+  frame = DecodeFrame(EncodeAppend(SampleAppend()));
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, FrameType::kAppend);
+  const AppendFrame& append = std::get<AppendFrame>(frame->payload);
+  EXPECT_EQ(append.table, "sessions");
+  ASSERT_EQ(append.rows.size(), 2u);
+  for (size_t r = 0; r < append.rows.size(); ++r) {
+    ASSERT_EQ(append.rows[r].size(), 3u);
+    for (size_t c = 0; c < 3; ++c) {
+      ExpectValueEq(append.rows[r][c], SampleAppend().rows[r][c]);
+    }
+  }
+
+  AppendOkFrame ok;
+  ok.id = 9;
+  ok.rows_appended = 2;
+  ok.version = 17;
+  frame = DecodeFrame(EncodeAppendOk(ok));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->type, FrameType::kAppendOk);
+  EXPECT_EQ(std::get<AppendOkFrame>(frame->payload).version, 17u);
+
+  frame = DecodeFrame(EncodeHello(ShardHello()));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(std::get<HelloFrame>(frame->payload).shard_index, 0u);
+  EXPECT_EQ(std::get<HelloFrame>(frame->payload).shard_count, 2u);
+
+  frame = DecodeFrame(EncodeQuery(PacedQuery()));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(std::get<QueryFrame>(frame->payload).round_blocks, 4u);
+  EXPECT_EQ(std::get<QueryFrame>(frame->payload).grant_blocks, 8u);
+  EXPECT_EQ(std::get<QueryFrame>(frame->payload).confidence, 0.9);
+
+  ErrorFrame session_error;
+  session_error.code = wire_error::kMalformedFrame;
+  session_error.message = "bad";
+  const std::string encoded_error = EncodeError(session_error);
+  EXPECT_EQ(encoded_error.find("\"id\""), std::string::npos);
+  frame = DecodeFrame(encoded_error);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_FALSE(std::get<ErrorFrame>(frame->payload).has_id);
+
+  FinalFrame degraded;
+  degraded.id = 9;
+  degraded.result = SampleResult();
+  degraded.report = SampleReport();
+  frame = DecodeFrame(EncodeFinal(degraded));
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const ExecutionReport& report = std::get<FinalFrame>(frame->payload).report;
+  ASSERT_EQ(report.elp.size(), 2u);
+  EXPECT_EQ(report.elp[1].rows, 4000u);
+  EXPECT_EQ(report.elp[1].projected_matched, 120.5);
+  ASSERT_EQ(report.pipeline_outcomes.size(), 2u);
+  EXPECT_FALSE(report.pipeline_outcomes[0].degraded);
+  EXPECT_TRUE(report.pipeline_outcomes[1].degraded);
 }
 
 TEST(ProtocolTest, RejectsMalformedFrames) {
@@ -373,6 +647,179 @@ TEST(ProtocolTest, RejectsMalformedFrames) {
   EXPECT_FALSE(DecodeFrame(R"({"type": "QUERY", "id": -7, "sql": "x"})").ok());
   const auto unknown = DecodeFrame(R"({"type": "BOGUS"})");
   EXPECT_EQ(unknown.status().code(), StatusCode::kUnimplemented);
+  // Every integer is a JSON integer in range (docs/PROTOCOL.md §1), ERROR ids
+  // and i-tagged values too: a fraction, an out-of-range magnitude or a
+  // negative counter is malformed, never truncated, wrapped or defaulted. So
+  // is a present optional field of the wrong type.
+  for (const char* bad : {
+           R"({"type": "CANCEL", "id": 2.5})",
+           R"({"type": "CANCEL", "id": 1e300})",
+           R"({"type": "CANCEL", "id": 9223372036854775808})",
+           R"({"type": "GRANT", "id": 1, "blocks": -1e19})",
+           R"({"type": "QUERY", "id": 1, "sql": "x", "round_blocks": -5})",
+           R"({"type": "QUERY", "id": 1, "sql": "x", "grant_blocks": 2.5})",
+           R"({"type": "QUERY", "id": 1, "sql": "x", "confidence": "high"})",
+           R"({"type": "ERROR", "id": -1, "code": "BUSY", "message": "m"})",
+           R"({"type": "ERROR", "id": 1e300, "code": "BUSY", "message": "m"})",
+           R"({"type": "ERROR", "id": 2.7, "code": "BUSY", "message": "m"})",
+           R"({"type": "APPEND", "id": 1, "table": "t", "columns": ["c"],
+               "rows": [[{"i": 1e300}]]})",
+           R"({"type": "APPEND", "id": 1, "table": "t", "columns": ["c"],
+               "rows": [[{"i": -1e19}]]})",
+           R"({"type": "APPEND", "id": 1, "table": "t", "columns": ["c"],
+               "rows": [[{"i": 1.5}]]})",
+           R"({"type": "HELLO", "protocol_version": 2, "peer": 7})",
+           R"({"type": "HELLO", "protocol_version": 2, "tables": "sessions"})",
+           R"({"type": "HELLO", "protocol_version": 2, "shard_count": -1})",
+       }) {
+    EXPECT_FALSE(DecodeFrame(bad).ok()) << bad;
+  }
+  // A ScanStats block_rows is a uint32: 2^32 does not fit.
+  std::string wide = EncodeQueryResult(SampleResult()).Serialize();
+  const std::string narrow = "\"block_rows\":256";
+  ASSERT_NE(wide.find(narrow), std::string::npos);
+  wide.replace(wide.find(narrow), narrow.size(), "\"block_rows\":4294967296");
+  auto reparsed = JsonValue::Parse(wide);
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_FALSE(DecodeQueryResult(*reparsed).ok());
+  // In range, an integral double is still an integer, the largest counter is
+  // 2^63 - 1 (not 2^63 - 512, where a double check would round up to 2^63),
+  // and a negative i-tagged value is a legal int64.
+  auto cancel = DecodeFrame(R"({"type": "CANCEL", "id": 3.0})");
+  ASSERT_TRUE(cancel.ok());
+  EXPECT_EQ(std::get<CancelFrame>(cancel->payload).id, 3u);
+  cancel = DecodeFrame(R"({"type": "CANCEL", "id": 9223372036854775807})");
+  ASSERT_TRUE(cancel.ok());
+  EXPECT_EQ(std::get<CancelFrame>(cancel->payload).id,
+            uint64_t{std::numeric_limits<int64_t>::max()});
+  auto append = DecodeFrame(
+      R"({"type": "APPEND", "id": 1, "table": "t", "columns": ["c"],
+          "rows": [[{"i": -9223372036854775808}]]})");
+  ASSERT_TRUE(append.ok()) << append.status().ToString();
+  EXPECT_EQ(std::get<AppendFrame>(append->payload).rows[0][0],
+            Value(std::numeric_limits<int64_t>::min()));
+}
+
+// Drops each key of every frame shape in turn, at the top level and inside
+// nested objects and array elements. Decoding must fail exactly when the key
+// is required: the keys below are the only optional ones (the list the codec
+// had before its field tables, checked against that decoder).
+TEST(ProtocolTest, DroppingAKeyFailsExactlyWhenItIsRequired) {
+  const std::set<std::string> optional = {
+      "HELLO/peer",
+      "HELLO/tables",
+      "HELLO/shard_index",
+      "HELLO/shard_count",
+      "QUERY/round_blocks",
+      "QUERY/grant_blocks",
+      "QUERY/confidence",
+      "ERROR/id",
+      "PARTIAL/queue_ms",
+      "PARTIAL/cache",
+      "PARTIAL/effective_bound",
+      "PARTIAL/progress/bound_met",
+      "PARTIAL/progress/bytes_scanned",
+      "PARTIAL/progress/bytes_decoded",
+      "FINAL/report/stopped_early",
+      "FINAL/report/cancelled",
+      "FINAL/report/queue_latency",
+      "FINAL/report/effective_error_bound",
+      "FINAL/report/cache",
+      "FINAL/report/rewrite_fallback",
+      "FINAL/report/bytes_scanned",
+      "FINAL/report/bytes_decoded",
+      "FINAL/report/elp",
+      "FINAL/report/pipeline_outcomes",
+      "FINAL/report/pipeline_outcomes/[]/reused_probe",
+      "FINAL/report/pipeline_outcomes/[]/bytes_scanned",
+      "FINAL/report/pipeline_outcomes/[]/bytes_decoded",
+      "FINAL/report/pipeline_outcomes/[]/degraded",
+  };
+  std::set<std::string> dropped_optional;
+  size_t dropped = 0;
+  for (const std::string& payload : EveryFrameShape()) {
+    auto json = JsonValue::Parse(payload);
+    ASSERT_TRUE(json.ok());
+    const std::string type = json->Find("type")->AsString();
+    std::set<std::vector<std::string>> paths;
+    CollectKeyPaths(*json, {}, paths);
+    for (const auto& path : paths) {
+      std::string name = type;
+      for (const std::string& step : path) {
+        name += "/" + step;
+      }
+      const bool is_optional = optional.count(name) > 0;
+      const auto decoded = DecodeFrame(WithoutKey(*json, path, 0).Serialize());
+      EXPECT_EQ(decoded.ok(), is_optional) << "dropping " << name;
+      if (is_optional) {
+        dropped_optional.insert(name);
+      }
+      ++dropped;
+    }
+  }
+  EXPECT_EQ(dropped_optional, optional) << "a listed optional key was never dropped";
+  EXPECT_GT(dropped, 100u);
+}
+
+// Seeded mutants of every frame shape: truncations, byte flips, splices of
+// two frames, and numbers swapped for values outside the integer rule. Each
+// must fail with a Status, or decode to a frame whose encoding decodes and
+// re-encodes to the same bytes.
+TEST(ProtocolTest, MutatedFramesFailOrReencodeStably) {
+  const std::vector<std::string> shapes = EveryFrameShape();
+  const char* const numbers[] = {"-1", "2.5", "1e300", "9223372036854775808"};
+  std::mt19937_64 rng(20130415);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  size_t decoded = 0;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    std::string mutant = shapes[pick(shapes.size())];
+    switch (iteration % 4) {
+      case 0:
+        mutant.resize(pick(mutant.size()));
+        break;
+      case 1:
+        for (size_t flips = 1 + pick(3); flips > 0; --flips) {
+          mutant[pick(mutant.size())] = static_cast<char>(rng());
+        }
+        break;
+      case 2: {
+        const std::string& other = shapes[pick(shapes.size())];
+        mutant = mutant.substr(0, pick(mutant.size())) + other.substr(pick(other.size()));
+        break;
+      }
+      default: {
+        // A number starts at a digit or '-' right after ':', '[' or ','.
+        std::vector<std::pair<size_t, size_t>> spans;
+        for (size_t i = 1; i < mutant.size(); ++i) {
+          const char prev = mutant[i - 1];
+          if ((prev == ':' || prev == '[' || prev == ',') &&
+              (mutant[i] == '-' || std::isdigit(static_cast<unsigned char>(mutant[i])))) {
+            size_t end = i + 1;
+            while (end < mutant.size() &&
+                   std::strchr("0123456789.eE+-", mutant[end]) != nullptr) {
+              ++end;
+            }
+            spans.emplace_back(i, end - i);
+          }
+        }
+        ASSERT_FALSE(spans.empty());
+        const auto [at, length] = spans[pick(spans.size())];
+        mutant.replace(at, length, numbers[pick(std::size(numbers))]);
+        break;
+      }
+    }
+    auto first = DecodeFrame(mutant);
+    if (!first.ok()) {
+      continue;
+    }
+    ++decoded;
+    const std::string encoded = EncodeAny(*first);
+    auto second = DecodeFrame(encoded);
+    ASSERT_TRUE(second.ok()) << "mutant: " << mutant << "\nre-encoded: " << encoded
+                             << "\n" << second.status().ToString();
+    ASSERT_EQ(EncodeAny(*second), encoded) << "mutant: " << mutant;
+  }
+  EXPECT_GT(decoded, 100u) << "too few mutants decoded to exercise re-encoding";
 }
 
 // --- AdmissionController -----------------------------------------------------
@@ -677,6 +1124,28 @@ TEST(ServerTest, DeeplyNestedWhereDrawsQueryFailedAndSessionSurvives) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().message().rfind(wire_error::kQueryFailed, 0), 0u)
       << rejected.status().ToString();
+
+  auto outcome = client.Query(kGroupedSql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome->result.rows.empty());
+}
+
+// An APPEND whose row carries {"i": 1.5} is malformed: the integer rule of
+// docs/PROTOCOL.md §1 holds for tagged values too, so the server never sees
+// a value the client did not send (1.5 used to arrive as 1). The session
+// answers MALFORMED_FRAME and goes on to a normal FINAL.
+TEST(ServerTest, FractionalIntValueDrawsMalformedFrameAndSessionSurvives) {
+  ServedFixture& fx = ServedFixture::Get();
+  BlinkClient client;
+  fx.Connect(client);
+  ASSERT_TRUE(client
+                  .SendRaw(R"({"type":"APPEND","id":5,"table":"sessions",)"
+                           R"("columns":["customer_id"],"rows":[[{"i":1.5}]]})")
+                  .ok());
+  auto reply = client.ReadOne();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(std::get<ErrorFrame>(reply->payload).code, wire_error::kMalformedFrame);
 
   auto outcome = client.Query(kGroupedSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
