@@ -168,7 +168,6 @@ void BenchQuery(const char* query_kind, const std::string& sql, const Table& fac
 
     for (size_t threads : {2u, 4u, 8u}) {
       ThreadPool pool(threads);
-      options.num_threads = threads;
       options.pool = &pool;
       const RunResult par = TimeBest(reps, [&] {
         auto r = ExecuteQuery(*stmt, ds, nullptr, options);

@@ -232,11 +232,12 @@ echo "== benchmark: build perfbench and run its self-test =="
 CARGO_TARGET_DIR="$BUILD_DIR/bench" python3 perfbench/run.py --self-test
 echo "benchmark self-test OK"
 
-echo "== sanitizers: codec + exec + session core under ASan/UBSan =="
+echo "== sanitizers: codec + exec + plan driver + session core under ASan/UBSan =="
 # The compressed scan path is the bit-twiddling hot spot; run its tests (and
-# the execution layers above it) under AddressSanitizer + UBSan, together with
-# the server and coordinator tests: the session core both servers share is
-# where untrusted bytes enter. GCC's `undefined` group leaves out
+# the execution layers above it, the plan driver and its budget pool
+# included) under AddressSanitizer + UBSan, together with the server and
+# coordinator tests: the session core both servers share is where untrusted
+# bytes enter. GCC's `undefined` group leaves out
 # float-cast-overflow, the check that catches a wire double cast to an
 # integer it cannot hold, so it is named here. Override the check set with
 # BLINK_SANITIZE=..., or skip with BLINK_SANITIZE=off (e.g. on toolchains
@@ -248,9 +249,9 @@ else
   cmake -B "$BUILD_DIR-asan" -S . -DBLINK_SANITIZE="$SAN" >/dev/null
   cmake --build "$BUILD_DIR-asan" -j "$JOBS" --target \
     codec_test storage_test exec_test parallel_exec_test fuzz_differential_test \
-    server_test coord_test
+    plan_test incremental_test server_test coord_test
   ctest --test-dir "$BUILD_DIR-asan" --output-on-failure -j "$JOBS" \
-    -R '^(codec_test|storage_test|exec_test|parallel_exec_test|fuzz_differential_test|server_test|coord_test)$'
+    -R '^(codec_test|storage_test|exec_test|parallel_exec_test|fuzz_differential_test|plan_test|incremental_test|server_test|coord_test)$'
   echo "sanitizers clean"
 fi
 

@@ -10,6 +10,12 @@
 #     code (src/server/protocol.h) must be documented in docs/PROTOCOL.md — so
 #     the spec cannot silently fall behind the code. Finding no frame names
 #     or no keys fails the gate instead of checking nothing.
+#  3. Named paths: every repo path that docs/*.md or a code comment under
+#     src/, tools/, tests/ or bench/ names (src/..., tests/..., and the other
+#     top-level directories) must exist, so a deleted or renamed file cannot
+#     stay cited. A path is a file name with an extension, a directory with
+#     its trailing slash, or a `{h,cc}` form, which names each expansion;
+#     prose such as "scripts/CI" is none of these.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +82,57 @@ else
   echo "docs/PROTOCOL.md is missing"
   fail=1
 fi
+
+echo "-- named repo paths --"
+# A path token starts at a top-level directory not preceded by a path or
+# word character (so perfbench/ is not read as bench/, nor /abs/src/ as
+# src/). Globs stop the token at the `*`, leaving the existing directory.
+path_re='(^|[^A-Za-z0-9_./-])(src|tests|tools|bench|docs|scripts|perfbench|examples)/[A-Za-z0-9_./{},-]*'
+named=0
+while IFS=$'\t' read -r file token; do
+  token="${token#[!a-z]}"
+  while [[ "$token" == *[.,] ]]; do
+    token="${token%?}"
+  done
+  case "$token" in
+    */ | *.* | *\}*) ;;
+    *) continue ;;
+  esac
+  paths=("$token")
+  if [[ "$token" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+    paths=()
+    IFS=',' read -ra alts <<<"${BASH_REMATCH[2]}"
+    for alt in "${alts[@]}"; do
+      paths+=("${BASH_REMATCH[1]}${alt}${BASH_REMATCH[3]}")
+    done
+  fi
+  for path in "${paths[@]}"; do
+    named=$((named + 1))
+    if [ ! -e "$path" ]; then
+      echo "MISSING PATH $path named in $file"
+      fail=1
+    fi
+  done
+done < <(
+  {
+    grep -HE "$path_re" docs/*.md
+    find src tools tests bench \( -name '*.cc' -o -name '*.h' \) -print0 |
+      xargs -0 grep -HoE '//.*' | grep -E "$path_re"
+  } | awk -v re="$path_re" '{
+    file = $0
+    sub(/:.*/, "", file)
+    text = substr($0, length(file) + 2)
+    while (match(text, re)) {
+      print file "\t" substr(text, RSTART, RLENGTH)
+      text = substr(text, RSTART + RLENGTH)
+    }
+  }'
+)
+if [ "$named" -eq 0 ]; then
+  echo "found no repo paths in docs or comments"
+  fail=1
+fi
+echo "$named named paths checked"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"

@@ -67,10 +67,6 @@ uint64_t Catalog::BumpGeneration(const std::string& name) {
   return ++it->second->generation;
 }
 
-bool Catalog::DropTable(const std::string& name) {
-  return tables_.erase(AsciiToLower(name)) > 0;
-}
-
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

@@ -74,9 +74,6 @@ class Catalog {
   // family builds/rebuilds). Returns the new generation, 0 if absent.
   uint64_t BumpGeneration(const std::string& name);
 
-  // Drops a table; returns whether it existed.
-  bool DropTable(const std::string& name);
-
   std::vector<std::string> TableNames() const;
 
  private:

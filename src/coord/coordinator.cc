@@ -11,6 +11,13 @@
 
 namespace blink {
 
+std::string ScatterSql(const SelectStatement& stmt) {
+  SelectStatement worker_stmt = stmt;
+  worker_stmt.bounds = QueryBounds{};
+  UnionCombiner(stmt).PrepareSubquery(worker_stmt);
+  return RenderSelect(worker_stmt);
+}
+
 Result<std::vector<std::string>> Coordinator::FetchTables() {
   if (options_.workers.empty()) {
     return Status::InvalidArgument("coordinator has no workers configured");
@@ -51,14 +58,8 @@ Result<ApproxAnswer> Coordinator::Execute(const std::string& sql,
   const bool paced = stmt->bounds.kind == QueryBounds::Kind::kError;
   const double confidence = ConfidenceFor(stmt->bounds);
 
-  // The scattered worker statement: bounds stripped (the coordinator owns
-  // the joint stopping decision) plus the hidden helper COUNT(*) the AVG
-  // recombination needs, rendered with bit-faithful literals.
-  UnionCombiner combiner(*stmt);
-  SelectStatement worker_stmt = *stmt;
-  worker_stmt.bounds = QueryBounds{};
-  combiner.PrepareSubquery(worker_stmt);
-  const std::string worker_sql = RenderSelect(worker_stmt);
+  const UnionCombiner combiner(*stmt);
+  const std::string worker_sql = ScatterSql(*stmt);
 
   std::vector<RemoteShard> shards(n);
   std::vector<PipelineSource*> sources;

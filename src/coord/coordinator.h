@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "src/coord/remote_shard.h"
-#include "src/exec/incremental.h"
 #include "src/runtime/query_runtime.h"
 
 namespace blink {
@@ -59,6 +58,14 @@ struct CoordinatorOptions {
   // gather, which cover a whole execution rather than one round.
   double final_deadline_seconds = 30.0;
 };
+
+// The SQL the coordinator scatters to every worker for `stmt`: bounds
+// stripped (the coordinator owns the joint stopping decision) plus the hidden
+// helper COUNT(*) the AVG recombination needs, rendered with bit-faithful
+// literals. Coordinator::Execute and the --selfcheck reference
+// (src/coord/selfcheck.h) both call it, so the reference re-parses exactly
+// the text the workers saw.
+std::string ScatterSql(const SelectStatement& stmt);
 
 class Coordinator {
  public:

@@ -13,7 +13,7 @@
 // Degrade, never hang: a shard that stalls, drops its connection, or answers
 // ERROR after producing at least one snapshot freezes at that snapshot — a
 // valid block-prefix answer, as a cancelled query's is. A frozen shard is
-// complete and exhausted: it is never granted again, keeps contributing its
+// complete: it is never granted again, keeps contributing its
 // snapshot to every combine, and does not make the query count as stopped
 // early. A shard that fails before its FIRST snapshot fails the query: its
 // strata are entirely unobserved, so no unbiased combined estimate exists.
@@ -81,7 +81,7 @@ class RemoteShard final : public PipelineSource {
   PipelineOutcome Outcome() const override;
   uint64_t rows_total() const override { return progress_.rows_total; }
   // Inside a drive a FINAL only ends a worker's data (or reuses a probe
-  // answer), so a complete shard is also exhausted.
+  // answer), so a complete shard did not stop early.
   bool complete() const override { return finished_ || degraded_; }
 
  private:

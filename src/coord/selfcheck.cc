@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdio>
 
-#include "src/coord/sql_render.h"
+#include "src/coord/coordinator.h"
 #include "src/plan/union_combiner.h"
 #include "src/server/protocol.h"
 #include "src/sql/parser.h"
@@ -33,13 +33,10 @@ Result<QueryResult> RunShardedReference(const std::string& sql,
   const bool paced = stmt->bounds.kind == QueryBounds::Kind::kError;
   const double confidence = ConfidenceFor(stmt->bounds);
 
-  // Reproduce the coordinator's scatter statement through the same render +
-  // re-parse round trip the worker saw, so literal bit patterns match.
-  UnionCombiner combiner(*stmt);
-  SelectStatement worker_stmt = *stmt;
-  worker_stmt.bounds = QueryBounds{};
-  combiner.PrepareSubquery(worker_stmt);
-  auto reparsed = ParseSelect(RenderSelect(worker_stmt));
+  // Re-parse the coordinator's scatter text, the round trip the worker saw,
+  // so literal bit patterns match.
+  const UnionCombiner combiner(*stmt);
+  auto reparsed = ParseSelect(ScatterSql(*stmt));
   if (!reparsed.ok()) {
     return Status::Internal("scatter SQL failed to re-parse: " +
                             reparsed.status().ToString());

@@ -98,12 +98,10 @@ bool GroupValueLess(const std::vector<Value>& a, const std::vector<Value>& b) {
 
 // Quantile weight of one reservoir entry. Full scans reproduce the dataset's
 // per-row weight exactly; prefix scans re-derive the weight from the prefix's
-// per-stratum consumed counts (datasets with explicit per-row weight vectors
-// are never streamed with early stopping, so the prefix branch only sees
-// stratum-derived weights).
+// per-stratum consumed counts.
 double QuantileWeightFor(const Dataset& fact, uint64_t row,
                          const std::vector<double>* prefix_sampled_rows) {
-  if (prefix_sampled_rows == nullptr || fact.weights != nullptr) {
+  if (prefix_sampled_rows == nullptr) {
     return fact.RowWeight(row);
   }
   const uint32_t stratum = fact.RowStratum(row);

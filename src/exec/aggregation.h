@@ -1,6 +1,6 @@
 // Internal scan→filter→join→aggregate pipeline shared by the one-shot
 // executor (src/exec/executor.cc), the row-at-a-time scalar reference, and
-// the online incremental executor (src/exec/incremental.cc). Everything here
+// the plan driver's scan pipelines (src/plan/scan_pipeline.cc). Everything here
 // operates on per-block sufficient statistics — per-(group, aggregate,
 // stratum) cells of (matched, Σx, Σx²) — which add over any partition of the
 // scan, so partials can be folded batch-by-batch without touching the §4.3

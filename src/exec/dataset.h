@@ -1,7 +1,8 @@
 // A Dataset is what the executor scans: either an exact table or a sample
-// of one. Samples carry per-row effective sampling rates (§4.3) expressed as
-// weights (weight = N_h / n_h = 1 / rate) plus per-row stratum ids, so the
-// executor can compute unbiased answers and closed-form error bounds.
+// of one. Samples carry per-row stratum ids plus per-stratum counts, whose
+// ratio is each row's effective sampling rate (§4.3; weight = N_h / n_h =
+// 1 / rate), so the executor can compute unbiased answers and closed-form
+// error bounds.
 #ifndef BLINKDB_EXEC_DATASET_H_
 #define BLINKDB_EXEC_DATASET_H_
 
@@ -29,14 +30,10 @@ struct StratumCounts {
 struct Dataset {
   const Table* table = nullptr;
 
-  // Null for exact tables. Otherwise one weight per row (>= 1.0). May also be
-  // null for samples whose weights derive from stratum_counts (the common
-  // case for multi-resolution families).
-  const std::vector<double>* weights = nullptr;
   // Null for exact tables / uniform samples (stratum 0 everywhere).
   const std::vector<uint32_t>* strata = nullptr;
-  // Per-stratum counts. For exact tables this may be empty (implied
-  // {n, n}); for samples it must cover every stratum id used.
+  // Per-stratum counts: null for exact tables (implied {n, n}); for samples
+  // it must cover every stratum id used.
   const std::vector<StratumCounts>* stratum_counts = nullptr;
   // 0 = scan the whole table; otherwise scan rows [0, scan_rows).
   uint64_t scan_rows = 0;
@@ -46,7 +43,7 @@ struct Dataset {
   // Null for standalone tables.
   const std::vector<uint64_t>* prefix_boundaries = nullptr;
 
-  bool is_exact() const { return weights == nullptr && stratum_counts == nullptr; }
+  bool is_exact() const { return stratum_counts == nullptr; }
 
   uint64_t NumRows() const {
     if (table == nullptr) {
@@ -56,9 +53,6 @@ struct Dataset {
   }
 
   double RowWeight(uint64_t row) const {
-    if (weights != nullptr) {
-      return (*weights)[row];
-    }
     if (stratum_counts != nullptr) {
       const StratumCounts& c = (*stratum_counts)[RowStratum(row)];
       return c.sampled_rows > 0.0 ? c.total_rows / c.sampled_rows : 1.0;

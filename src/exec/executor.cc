@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/exec/aggregation.h"
-#include "src/exec/incremental.h"
+#include "src/plan/query_plan.h"
 
 namespace blink {
 
@@ -19,8 +19,12 @@ using exec_internal::GroupMap;
 using exec_internal::GroupState;
 using exec_internal::StratumCell;
 
-double QueryResult::MaxRelativeError(double conf) const {
-  return MaxEstimateError(FlattenEstimates(*this), /*relative=*/true, conf);
+std::vector<Estimate> FlattenEstimates(const QueryResult& result) {
+  std::vector<Estimate> flat;
+  for (const auto& row : result.rows) {
+    flat.insert(flat.end(), row.aggregates.begin(), row.aggregates.end());
+  }
+  return flat;
 }
 
 std::string QueryResult::ToString() const {
@@ -48,17 +52,23 @@ std::string QueryResult::ToString() const {
   return out;
 }
 
-// The one-shot executor is the streaming executor with the never-stop rule:
-// one batch spanning every block, no intermediate finalization.
+// The one-shot executor is a 1-pipeline plan under the never-stop rule: one
+// batch spanning every block, no intermediate finalization.
 Result<QueryResult> ExecuteQuery(const SelectStatement& stmt, const Dataset& fact,
                                  const Table* dim, const ExecutionOptions& options) {
-  StreamOptions stream;
-  stream.exec = options;
-  auto streamed = ExecuteQueryIncremental(stmt, fact, dim, stream);
-  if (!streamed.ok()) {
-    return streamed.status();
+  QueryPlan plan;
+  PipelineSpec spec;
+  spec.stmt = stmt;
+  spec.dataset = fact;
+  spec.dim = dim;
+  plan.pipelines.push_back(std::move(spec));
+  PlanOptions plan_options;
+  plan_options.exec = options;
+  auto run = ExecutePlan(plan, plan_options);
+  if (!run.ok()) {
+    return run.status();
   }
-  return std::move(streamed->result);
+  return std::move(run->result);
 }
 
 Result<QueryResult> ExecuteQuery(const SelectStatement& stmt, const Dataset& fact,

@@ -11,10 +11,10 @@
 // and schedules; a row-at-a-time reference path is kept for differential
 // testing.
 //
-// ExecuteQuery is implemented as a streamed scan with a never-stop rule: the
-// online incremental executor (src/exec/incremental.h) is the single
-// implementation, and bounded queries use it directly to stop the scan as
-// soon as the error bound is met.
+// ExecuteQuery is a 1-pipeline plan driven with a never-stop rule: the plan
+// driver (src/plan/query_plan.h) is the single implementation, and bounded
+// queries drive it directly to stop the scan as soon as the error bound is
+// met.
 #ifndef BLINKDB_EXEC_EXECUTOR_H_
 #define BLINKDB_EXEC_EXECUTOR_H_
 
@@ -57,26 +57,23 @@ struct QueryResult {
   ScanStats stats;
   double confidence = 0.95;  // confidence used when rendering error columns
 
-  // Worst-case relative error at `confidence` across all rows/aggregates
-  // (the metric Figures 7-8 of the paper plot). Zero-valued aggregates have
-  // no meaningful relative error and are excluded from the max; 0 for exact
-  // answers.
-  double MaxRelativeError(double conf) const;
   // Pretty-printed table with +/- error annotations.
   std::string ToString() const;
 };
 
+// Flattens every group's aggregates of `result` into one vector — the input
+// MaxEstimateError and StopPolicy::Evaluate consume.
+std::vector<Estimate> FlattenEstimates(const QueryResult& result);
+
 // Scan-engine knobs for one execution.
 struct ExecutionOptions {
-  // Worker threads for the morsel fan-out. 1 processes blocks inline (still
-  // vectorized); results are identical for every value.
-  size_t num_threads = 1;
   // Target morsel size in rows; carving additionally cuts at sample-prefix
   // boundaries.
   uint32_t morsel_rows = kDefaultMorselRows;
-  // Pool to run workers on when num_threads > 1. Null spawns transient
-  // threads. Must not be the pool of an enclosing ParallelFor/Wait (the
-  // executor waits for its workers).
+  // The morsel fan-out: a scan runs one worker per pool thread. Null
+  // processes blocks inline on the caller's thread (still vectorized);
+  // results are identical for every width. Must not be the pool of an
+  // enclosing ParallelFor/Wait (the executor waits for its workers).
   ThreadPool* pool = nullptr;
   // Scan compressed block storage (src/storage/encoded_table.h) when the
   // fact table carries it; false forces raw column scans. Answers are

@@ -69,13 +69,10 @@ class PipelineSource {
   // Rows of the whole dataset, for progress events; 0 when unknown.
   virtual uint64_t rows_total() const = 0;
 
-  // Nothing is left to grant.
+  // Nothing is left to grant: the whole dataset was consumed, a reused
+  // answer stands in for it, or the source froze at its last snapshot. A
+  // plan that returns with an incomplete source stopped early.
   virtual bool complete() const = 0;
-  // Complete without a stop: the whole dataset was consumed, a reused answer
-  // stands in for it, or the source froze at its last snapshot. A plan that
-  // returns with an unexhausted source stopped early. Only a source with a
-  // block budget of its own can be complete yet unexhausted.
-  virtual bool exhausted() const { return complete(); }
 
   // The defaults below describe a source that cannot see its dataset's
   // resolution boundaries (a remote shard): a sample with no per-source
@@ -83,8 +80,6 @@ class PipelineSource {
   //
   // Scans an exact table, which never stops early and ignores budget pools.
   virtual bool exact() const { return false; }
-  // Its own block cap may end its scan before the last block.
-  virtual bool capped() const { return false; }
   // The consumed prefix is sound enough for an error stop.
   virtual bool CanErrorStop() const { return true; }
   // Blocks of the smallest-resolution floor: a shared budget pool may be

@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "src/util/thread_pool.h"
+
 namespace blink {
 namespace {
 
@@ -12,8 +14,6 @@ namespace {
 // it builds its pipelines (prefix tallies, round shares); DriveSources
 // derives the same from the built sources.
 struct DriveRules {
-  StopPolicy policy;  // PlanOptions::policy with max_blocks folded into `pool`
-  uint64_t pool = 0;
   bool error_stopping = false;
   bool may_stop_early = false;
   bool adaptive = false;
@@ -21,21 +21,12 @@ struct DriveRules {
 };
 
 DriveRules RulesFor(const PlanOptions& options, size_t parts, bool combined,
-                    bool any_sample, bool any_capped) {
+                    bool any_sample) {
   DriveRules rules;
-  rules.policy = options.policy;
-  rules.pool = options.budget_pool;
-  if (rules.policy.max_blocks > 0) {
-    // StopPolicy::max_blocks is a joint cap across pipelines: fold it into
-    // the shared pool (the tighter budget wins) instead of dropping it.
-    rules.pool = rules.pool == 0 ? rules.policy.max_blocks
-                                 : std::min(rules.pool, rules.policy.max_blocks);
-    rules.policy.max_blocks = 0;
-  }
-  // An error stop is only meaningful when some pipeline scans a sample; a
-  // plan made purely of exact scans (the EXACT fallback) never stops early.
-  const bool any_budget = any_capped || (rules.pool > 0 && any_sample);
-  rules.error_stopping = rules.policy.target_error > 0.0 && any_sample;
+  // Error stops and budgets only bind sample pipelines; a plan made purely
+  // of exact scans (the EXACT fallback) never stops early.
+  const bool any_budget = options.budget_pool > 0 && any_sample;
+  rules.error_stopping = options.policy.target_error > 0.0 && any_sample;
   // Stops the driver itself may take (error bound met, budget spent) versus
   // an externally requested cancel. Both can end a scan on a partial prefix,
   // so both require the per-stratum prefix tallies that make a stopped
@@ -80,13 +71,11 @@ StreamProgress ProgressOver(const std::vector<PipelineSource*>& sources,
 
 Result<PlanResult> ExecutePlan(const QueryPlan& plan, const PlanOptions& options) {
   bool any_sample = false;
-  bool any_capped = false;
   for (const auto& spec : plan.pipelines) {
     any_sample = any_sample || !spec.dataset.is_exact();
-    any_capped = any_capped || (!spec.dataset.is_exact() && spec.max_blocks > 0);
   }
-  const DriveRules rules = RulesFor(options, plan.pipelines.size(),
-                                    plan.combiner.has_value(), any_sample, any_capped);
+  const DriveRules rules =
+      RulesFor(options, plan.pipelines.size(), plan.combiner.has_value(), any_sample);
 
   std::vector<std::unique_ptr<ScanPipeline>> pipes;
   std::vector<PipelineSource*> sources;
@@ -99,10 +88,12 @@ Result<PlanResult> ExecutePlan(const QueryPlan& plan, const PlanOptions& options
   }
 
   // Per-pipeline round share: at least one batch's worth of work per worker
-  // so every round saturates the thread fan-out. 0 (or no partials needed)
+  // so every round saturates the pool. 0 (or no partials needed)
   // drives each pipeline in one maximal batch — a pool still clamps such a
   // grant to exactly the remaining budget (floored at the smallest
   // resolution), so bounded rounds are never needed just to meet a budget.
+  const uint64_t width =
+      options.exec.pool != nullptr ? options.exec.pool->num_threads() : 1;
   std::vector<uint64_t> shares;
   shares.reserve(pipes.size());
   for (const auto& pipe : pipes) {
@@ -110,8 +101,8 @@ Result<PlanResult> ExecutePlan(const QueryPlan& plan, const PlanOptions& options
       shares.push_back(pipe->blocks_total());
       continue;
     }
-    const uint64_t workers = std::max<uint64_t>(
-        1, std::min<uint64_t>(options.exec.num_threads, pipe->blocks_total()));
+    const uint64_t workers =
+        std::max<uint64_t>(1, std::min<uint64_t>(width, pipe->blocks_total()));
     shares.push_back(std::max<uint64_t>(options.batch_blocks, workers));
   }
   auto run = DriveSources(sources, plan.combiner.has_value() ? &*plan.combiner : nullptr,
@@ -136,17 +127,15 @@ Result<PlanResult> DriveSources(const std::vector<PipelineSource*>& sources,
   }
   const size_t n = sources.size();
   bool any_sample = false;
-  bool any_capped = false;
   for (const PipelineSource* source : sources) {
     any_sample = any_sample || !source->exact();
-    any_capped = any_capped || source->capped();
   }
-  const DriveRules rules =
-      RulesFor(options, n, combiner != nullptr, any_sample, any_capped);
-  const StopPolicy& policy = rules.policy;
+  const DriveRules rules = RulesFor(options, n, combiner != nullptr, any_sample);
+  const StopPolicy& policy = options.policy;
   PipelineScheduler scheduler(rules.adaptive ? ScheduleMode::kAdaptive
                                              : ScheduleMode::kUniform,
-                              combiner, policy, rules.pool, std::move(round_shares));
+                              combiner, policy, options.budget_pool,
+                              std::move(round_shares));
 
   // Each source's consumed blocks as of the last round, so the scheduler is
   // charged exactly what a round consumed.
@@ -229,7 +218,7 @@ Result<PlanResult> DriveSources(const std::vector<PipelineSource*>& sources,
       out.blocks_consumed += stats.blocks_consumed;
       out.blocks_total += stats.blocks_total;
       out.rows_consumed += stats.rows_consumed;
-      out.stopped_early = out.stopped_early || !sources[i]->exhausted();
+      out.stopped_early = out.stopped_early || !sources[i]->complete();
     }
     if (evaluated) {
       out.bound_met = decision.bound_met;

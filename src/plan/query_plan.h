@@ -12,8 +12,9 @@
 // applies the StopPolicy to the *joint* worst-case error of the combined
 // answer, so an ERROR WITHIN disjunctive query stops the moment the union
 // estimate meets the bound and a WITHIN n SECONDS query stops when its block
-// budget — per-pipeline caps, or one shared pool the scheduler drains
-// adaptively — is spent. The loop drives PipelineSources
+// budget — one pool per plan, which the scheduler drains — is spent.
+// ExecutePlan is the driver's only contract: a single-dataset scan
+// (ExecuteQuery) is a 1-pipeline plan. The loop drives PipelineSources
 // (src/plan/pipeline_source.h): a plan's own ScanPipelines, or the remote
 // shards of a distributed query, whose coordinator (src/coord/coordinator.h)
 // is a planner over the same loop.
@@ -31,11 +32,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/exec/executor.h"
-#include "src/exec/incremental.h"
 #include "src/plan/pipeline_source.h"
 #include "src/plan/scan_pipeline.h"
 #include "src/plan/scheduler.h"
@@ -44,6 +46,33 @@
 #include "src/util/status.h"
 
 namespace blink {
+
+// Progress snapshot delivered to the caller after every round.
+struct StreamProgress {
+  uint64_t blocks_consumed = 0;
+  uint64_t blocks_total = 0;
+  uint64_t rows_consumed = 0;
+  uint64_t rows_total = 0;
+  // Storage bytes read over the consumed prefix (encoded bytes of the touched
+  // columns on compressed tables) and the logical bytes they decoded to.
+  // Equal on raw storage.
+  double bytes_scanned = 0.0;
+  double bytes_decoded = 0.0;
+  // Worst error over the partial answer's groups/aggregates, at the stopping
+  // policy's confidence.
+  double achieved_error = 0.0;
+  bool bound_met = false;    // the error target (if any) is met
+  bool final_batch = false;  // no further callbacks will follow
+  // Answer-cache outcome of the execution streaming these partials ("resume"
+  // or "miss"; hits never stream). Empty when no cache is consulted — the
+  // plan driver itself never sets it, the runtime stamps it.
+  std::string cache;
+};
+
+// Invoked after every round with the partial answer over the consumed
+// prefix. The QueryResult reference is only valid during the call.
+using ProgressCallback =
+    std::function<void(const QueryResult& partial, const StreamProgress& progress)>;
 
 // A physical plan: what to scan (one spec per pipeline) and how to combine.
 struct QueryPlan {
@@ -62,9 +91,8 @@ struct PlanOptions {
   uint32_t batch_blocks = 0;
   // Joint stopping rule, evaluated on the combined answer after every round.
   // Its error guards (min_blocks / min_matched) read totals across all
-  // pipelines. StopPolicy::max_blocks is a JOINT cap: it folds into
-  // budget_pool (the tighter of the two wins), never silently dropped.
-  // Default-constructed, the plan never stops early.
+  // pipelines. Default-constructed, the plan never stops early; a block
+  // budget is budget_pool, never part of the policy.
   StopPolicy policy;
   // Invoked after every round with the combined partial answer.
   ProgressCallback progress;
@@ -72,13 +100,14 @@ struct PlanOptions {
   // kUniform reproduces the fixed round-robin block-consumption trace
   // exactly; kAdaptive awards rounds to the pipeline dominating the joint
   // error once every pipeline clears the fairness floor. Single-pipeline
-  // plans (and plans that can never stop early) degenerate to uniform.
+  // plans (and plans that can never stop early) degenerate to uniform. The
+  // mode decides which pipeline gets blocks, never how many a budget spends.
   ScheduleMode schedule = ScheduleMode::kUniform;
-  // Shared block-budget pool across the plan's sample pipelines (a WITHIN n
-  // SECONDS bound); 0 = none. Grants drain the pool until it is dry, with
-  // every sample pipeline floored at its smallest-resolution boundary and
-  // exact pipelines always running to completion. Complements (and folds
-  // with) per-pipeline PipelineSpec::max_blocks caps.
+  // The plan's block budget (a WITHIN n SECONDS bound), shared by its sample
+  // pipelines; 0 = none. Grants drain the pool until it is dry, with every
+  // sample pipeline floored at its smallest-resolution boundary and exact
+  // pipelines always running to completion. The only budget the driver
+  // knows: one pipeline or many, uniform or adaptive.
   uint64_t budget_pool = 0;
   // Cooperative cancellation hook. When non-null, the driver checks the flag
   // at every round boundary; once it reads true, no further blocks are
@@ -115,10 +144,11 @@ struct PlanResult {
   std::vector<std::shared_ptr<const PipelineSnapshot>> states;
 };
 
-// Drives `plan` to completion (or to a joint stop): builds one ScanPipeline
-// per spec, sizes each pipeline's round share from its block count and the
-// thread fan-out, runs DriveSources over them, and exports their states when
-// PlanOptions::export_state asks.
+// The driver's only contract. Drives `plan` to completion (or to a joint
+// stop): builds one ScanPipeline per spec, sizes each pipeline's round share
+// from its block count and the scan width (the ExecutionOptions::pool's
+// thread count, 1 without a pool), runs DriveSources over them, and exports
+// their states when PlanOptions::export_state asks.
 Result<PlanResult> ExecutePlan(const QueryPlan& plan, const PlanOptions& options);
 
 // The plan driver's round loop over already-built sources, in-process scans

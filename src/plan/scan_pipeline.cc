@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "src/util/thread_pool.h"
 
@@ -32,7 +31,6 @@ Status ScanPipeline::Init(PipelineSpec spec, const ExecutionOptions& exec,
   if (exact()) {
     // A row prefix of an exact table is not a random sample: estimates over
     // it would be biased by the table's physical row order. Never stop early.
-    spec_.max_blocks = 0;
     may_stop_early = false;
   }
   // Prefix stratum counts are only meaningful (and only needed) on samples
@@ -55,17 +53,10 @@ Status ScanPipeline::Init(PipelineSpec spec, const ExecutionOptions& exec,
     min_stop_blocks_ = CountMorsels(min_stop_rows_, plan_.target_rows,
                                     spec_.dataset.prefix_boundaries);
   }
-  if (spec_.max_blocks > 0 && min_stop_blocks_ > 0) {
-    // The floor applies to block budgets too: the smallest resolution is the
-    // minimum statistically meaningful answer, so a budget below it floors
-    // there rather than silently dropping whole strata.
-    spec_.max_blocks = std::max(spec_.max_blocks, min_stop_blocks_);
-  }
 
-  const size_t workers = std::max<size_t>(
-      1, std::min<size_t>(exec_.num_threads, static_cast<size_t>(std::max<uint64_t>(
-                                                 1, blocks_total()))));
-  scratches_.resize(workers);
+  const size_t width = exec_.pool != nullptr ? exec_.pool->num_threads() : 1;
+  scratches_.resize(std::max<size_t>(
+      1, std::min<size_t>(width, static_cast<size_t>(blocks_total()))));
 
   if (spec_.resume != nullptr) {
     const PipelineSnapshot& snap = *spec_.resume;
@@ -118,17 +109,7 @@ void ScanPipeline::Advance(uint64_t blocks) {
   if (complete() || blocks == 0) {
     return;
   }
-  uint64_t end = std::min(consumed_ + blocks, blocks_total());
-  if (spec_.max_blocks > 0) {
-    end = std::min(end, spec_.max_blocks);
-  }
-  if (end <= consumed_) {
-    // Unreachable today: complete() already bounds consumed_ by both
-    // blocks_total() and max_blocks, and Init fixes max_blocks for good. The
-    // guard makes the invariant local — a budget shrunk between rounds
-    // degrades to a no-op instead of underflowing `count` below.
-    return;
-  }
+  const uint64_t end = std::min(consumed_ + blocks, blocks_total());
   const size_t count = static_cast<size_t>(end - consumed_);
   std::vector<MorselPartial> partials(count);
   const size_t batch_workers = std::min(scratches_.size(), count);
@@ -153,22 +134,10 @@ void ScanPipeline::Advance(uint64_t blocks) {
                       partials[i], track_prefix_);
       }
     };
-    if (exec_.pool != nullptr) {
-      for (size_t w = 0; w < batch_workers; ++w) {
-        exec_.pool->Submit(work);
-      }
-      exec_.pool->Wait();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(batch_workers - 1);
-      for (size_t w = 0; w + 1 < batch_workers; ++w) {
-        threads.emplace_back(work);
-      }
-      work();
-      for (auto& t : threads) {
-        t.join();
-      }
+    for (size_t w = 0; w < batch_workers; ++w) {
+      exec_.pool->Submit(work);
     }
+    exec_.pool->Wait();
   }
   for (const MorselPartial& partial : partials) {
     bytes_decoded_ += partial.bytes_decoded;

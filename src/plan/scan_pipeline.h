@@ -49,17 +49,14 @@ struct PipelineSnapshot {
   double bytes_decoded = 0.0;  // logical bytes the prefix materialized
 };
 
-// What one pipeline scans and how far it is allowed to go.
+// What one pipeline scans and where it starts. How far it goes is the
+// driver's call: a stop, a cancel, or the plan's budget pool.
 struct PipelineSpec {
   // Conjunctive sub-statement (the union path appends a helper COUNT(*) for
   // AVG recombination before constructing the spec).
   SelectStatement stmt;
   Dataset dataset;
   const Table* dim = nullptr;
-  // Hard cap on blocks this pipeline may consume (a time bound's per-pipeline
-  // block budget); 0 = none. Init floors it at the smallest-resolution
-  // boundary and clears it for exact datasets (which never stop early).
-  uint64_t max_blocks = 0;
   // §4.4 probe reuse: when set, the pipeline is born complete with this
   // answer (the planner's escalated probe already scanned exactly this
   // dataset) — the driver never advances it and snapshots return the value.
@@ -86,9 +83,9 @@ class ScanPipeline final : public PipelineSource {
   // stopped prefix finalize as a valid stratified sample.
   Status Init(PipelineSpec spec, const ExecutionOptions& exec, bool may_stop_early);
 
-  // Scans up to `blocks` further blocks (clamped to the budget and the plan)
-  // in parallel and folds their partials into the running accumulators in
-  // block-index order. No-op once complete.
+  // Scans up to `blocks` further blocks (clamped to the plan) on the
+  // ExecutionOptions::pool and folds their partials into the running
+  // accumulators in block-index order. No-op once complete.
   void Advance(uint64_t blocks);
   Status Grant(uint64_t blocks) override {
     Advance(blocks);
@@ -108,22 +105,13 @@ class ScanPipeline final : public PipelineSource {
   // resumable samples). The returned state is an independent copy.
   std::shared_ptr<const PipelineSnapshot> ExportState() const;
 
-  // The scan has nothing left to do: every block consumed, the block budget
-  // exhausted, or a precomputed (§4.4) answer stands in for the scan.
+  // The scan has nothing left to do: every block consumed, or a precomputed
+  // (§4.4) answer stands in for the scan.
   bool complete() const override {
-    return precomputed() || consumed_ == blocks_total() ||
-           (spec_.max_blocks > 0 && consumed_ >= spec_.max_blocks);
-  }
-  // The whole dataset was consumed (or its answer reused); false for budget
-  // stops.
-  bool exhausted() const override {
     return precomputed() || consumed_ == blocks_total();
   }
   bool precomputed() const { return spec_.precomputed.has_value(); }
   bool exact() const override { return spec_.dataset.is_exact(); }
-  // A per-pipeline block budget (PipelineSpec::max_blocks; Init clears it
-  // for exact datasets).
-  bool capped() const override { return spec_.max_blocks > 0; }
 
   // An error stop may end the plan only when every pipeline's consumed prefix
   // is statistically sound: past the smallest-resolution boundary (the first

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/exec/incremental.h"
-
 namespace blink {
 
 const char* ScheduleModeName(ScheduleMode mode) {
@@ -79,8 +77,8 @@ std::vector<ScheduleGrant> PipelineScheduler::UniformRound(
     uint64_t grant = shares_[i];
     // Sample pipelines past their smallest-resolution floor draw from the
     // pool; below the floor a grant may overdraw it, but only up to the
-    // floor itself (the budget floors there, mirroring ScanPipeline::Init
-    // — never a whole batch past the boundary). Exact scans ignore the pool.
+    // floor itself (the budget floors there — never a whole batch past the
+    // boundary). Exact scans ignore the pool.
     if (pooled() && !pipe.exact()) {
       if (pipe.CanErrorStop()) {
         grant = std::min(grant, remaining);

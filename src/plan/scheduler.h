@@ -33,14 +33,17 @@
 // pipeline is starved into a noise-dominated estimate. Until the floor clears,
 // rounds stay uniform.
 //
-// Shared block-budget pool: a WITHIN n SECONDS union plan carries one pool of
-// blocks (what the time window affords the union as a whole) instead of
-// static per-pipeline budgets. Grants drain the pool; sample pipelines that
-// have not yet reached their smallest-resolution boundary may overdraw it,
-// but only up to that boundary — exactly the flooring ScanPipeline::Init
-// applies to per-pipeline budgets, never a whole batch past it. Exact
-// pipelines neither charge nor respect the pool — a prefix of an unshuffled
-// table is not a sample, so an exact scan always runs to completion.
+// Block-budget pool: a WITHIN n SECONDS plan carries one pool of blocks (what
+// the time window affords the plan as a whole), whatever its pipeline count
+// and schedule mode. Grants drain the pool — round-robin under kUniform,
+// toward the worst contributor under kAdaptive — so the two modes differ in
+// which pipeline gets blocks, never in how many the budget spends. Sample
+// pipelines that have not yet reached their smallest-resolution boundary may
+// overdraw the pool, but only up to that boundary (the smallest resolution
+// is the minimum statistically meaningful answer), never a whole batch past
+// it. Exact pipelines neither charge nor respect the pool — a prefix of an
+// unshuffled table is not a sample, so an exact scan always runs to
+// completion.
 #ifndef BLINKDB_PLAN_SCHEDULER_H_
 #define BLINKDB_PLAN_SCHEDULER_H_
 

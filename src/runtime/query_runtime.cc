@@ -26,6 +26,30 @@ bool HasQuantile(const SelectStatement& stmt) {
   });
 }
 
+// The largest block count in [lo, total] whose modeled `cost` (monotone in
+// blocks) fits in `seconds`; `lo` itself when even that does not fit, so a
+// budget never falls below the minimum meaningful prefix. The time bound's
+// budget search, for one pipeline and for a plan's pool alike.
+template <typename Cost>
+uint64_t LargestFitting(uint64_t lo, uint64_t total, double seconds, Cost cost) {
+  if (cost(total) <= seconds) {
+    return total;
+  }
+  if (cost(lo) > seconds) {
+    return lo;
+  }
+  uint64_t hi = total;  // invariant: cost(lo) <= seconds < cost(hi)
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (cost(mid) <= seconds) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 double ConfidenceFor(const QueryBounds& bounds) {
@@ -201,25 +225,10 @@ uint64_t QueryRuntime::TimeBudgetBlocks(const Dataset& ds, double scale_factor,
     return cluster_->EstimateLatency(WorkloadForConsumed(
         ds, scale_factor, rows - reused_prefix_rows, charge_blocks));
   };
-  if (cost(total) <= remaining_seconds) {
-    return total;
-  }
   // The reused prefix is free, so at least that much (and never 0 blocks) is
-  // always affordable; binary search the boundary above it.
-  uint64_t lo = std::max<uint64_t>(1, std::min(reused_blocks, total));
-  if (cost(lo) > remaining_seconds) {
-    return lo;  // no time left at all: return the minimum meaningful prefix
-  }
-  uint64_t hi = total;  // invariant: cost(lo) <= remaining < cost(hi)
-  while (hi - lo > 1) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    if (cost(mid) <= remaining_seconds) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  // always affordable.
+  return LargestFitting(std::max<uint64_t>(1, std::min(reused_blocks, total)), total,
+                        remaining_seconds, cost);
 }
 
 uint64_t QueryRuntime::PoolBudgetBlocks(const std::vector<PipelinePlan>& plans,
@@ -233,11 +242,11 @@ uint64_t QueryRuntime::PoolBudgetBlocks(const std::vector<PipelinePlan>& plans,
   uint64_t total = 0;
   uint64_t reused = 0;
   for (const PipelinePlan& p : plans) {
-    if (!p.streamed || p.budget_blocks == 0) {
-      continue;
-    }
     const uint64_t blocks = CountMorsels(p.dataset.NumRows(), config_.morsel_rows,
                                          p.dataset.prefix_boundaries);
+    if (!p.streamed || blocks == 0) {
+      continue;
+    }
     total += blocks;
     if (config_.reuse_intermediate) {
       reused += std::min(blocks, p.probe_prefix_blocks);
@@ -257,23 +266,8 @@ uint64_t QueryRuntime::PoolBudgetBlocks(const std::vector<PipelinePlan>& plans,
     return cluster_->EstimateLatency(WorkloadForConsumed(
         *representative, scale_factor, charge * config_.morsel_rows, charge));
   };
-  if (cost(total) <= remaining_seconds) {
-    return total;
-  }
-  uint64_t lo = 1;
-  if (cost(lo) > remaining_seconds) {
-    return lo;  // no time at all: the scheduler's floors still apply
-  }
-  uint64_t hi = total;  // invariant: cost(lo) <= remaining < cost(hi)
-  while (hi - lo > 1) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    if (cost(mid) <= remaining_seconds) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  // With no time at all the pool is one block: the scheduler's floors apply.
+  return LargestFitting(1, total, remaining_seconds, cost);
 }
 
 double QueryRuntime::DeltaLatency(const SampleFamily& family, size_t larger,
@@ -318,55 +312,28 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
 
   // Probe every family's smallest useful resolution. Probes are independent
   // read-only scans, so they fan out on the thread pool (§4.1.1 runs them in
-  // parallel); each probe chain escalates while the match count is too small
-  // to estimate selectivity (rare slices would otherwise produce pure-noise
-  // ratios). Levels are prefixes, so a chain costs one scan of the largest
-  // level reached. The reduction below walks families in declaration order,
-  // so the outcome does not depend on probe completion order.
-  struct ProbeOutcome {
-    Status status = Status::Ok();
-    QueryResult result;
-    size_t resolution = 0;
-    double latency = 0.0;
-  };
-  std::vector<ProbeOutcome> probes(families.size());
-  // Results are identical either way (deterministic merge order), and both
-  // paths use the configured morsel size so the winning probe's answer —
-  // reused verbatim as the final run — carries consistent block accounting.
-  auto run_probe = [&](size_t f, const ExecutionOptions& options) {
-    const SampleFamily* family = families[f];
-    ProbeOutcome& out = probes[f];
-    size_t idx = family->smallest_resolution();
-    for (;;) {
-      auto result = ExecuteQuery(stmt, family->LogicalSample(idx), dim, options);
-      if (!result.ok()) {
-        out.status = result.status();
-        return;
-      }
-      out.result = std::move(result.value());
-      if (out.result.stats.rows_matched >= kMinProbeMatches || idx == 0) {
-        break;
-      }
-      --idx;
-    }
-    out.resolution = idx;
-    out.latency = LatencyForDataset(family->LogicalSample(idx), scale_factor);
-  };
+  // parallel). The reduction below walks families in declaration order, so
+  // the outcome does not depend on probe completion order. Results are
+  // identical either way (deterministic merge order), and both paths use the
+  // configured morsel size so the winning probe's answer — reused verbatim
+  // as the final run — carries consistent block accounting.
+  std::vector<Result<Probe>> probes(families.size(), Probe{});
   if (pool_ != nullptr && families.size() > 1) {
-    // Fan probes out across families; each probe's scan stays serial because
-    // a pool task must not Wait() on its own pool.
+    // Fan probes out across families; each probe's scan stays serial (no
+    // pool) because a pool task must not Wait() on its own pool.
     ExecutionOptions serial;
-    serial.num_threads = 1;
     serial.morsel_rows = config_.morsel_rows;
     for (size_t f = 0; f < families.size(); ++f) {
-      pool_->Submit([&run_probe, &serial, f] { run_probe(f, serial); });
+      pool_->Submit([&, f] {
+        probes[f] = RunProbe(stmt, *families[f], scale_factor, dim, serial);
+      });
     }
     pool_->Wait();
   } else {
     // Single family (or no pool): probes run on the caller's thread, so each
     // scan can parallelize its morsels instead.
     for (size_t f = 0; f < families.size(); ++f) {
-      run_probe(f, ExecOpts());
+      probes[f] = RunProbe(stmt, *families[f], scale_factor, dim, ExecOpts());
     }
   }
 
@@ -376,10 +343,10 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
   size_t winner = families.size();
   for (size_t f = 0; f < families.size(); ++f) {
     const SampleFamily* family = families[f];
-    ProbeOutcome& out = probes[f];
-    if (!out.status.ok()) {
-      return out.status;
+    if (!probes[f].ok()) {
+      return probes[f].status();
     }
+    const Probe& out = probes[f].value();
     // Probes run concurrently, so the selection charge is the makespan (the
     // slowest probe), never the sum of per-family scans.
     max_probe_latency = std::max(max_probe_latency, out.latency);
@@ -432,10 +399,36 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
   choice.selection_probe_latency = max_probe_latency;
   // §4.4: hand the winner's probe to PlanOnFamily so it is not re-executed.
   if (winner < families.size()) {
-    choice.probe_result = std::move(probes[winner].result);
-    choice.probe_resolution = probes[winner].resolution;
+    choice.probe = std::move(probes[winner].value());
   }
   return choice;
+}
+
+Result<QueryRuntime::Probe> QueryRuntime::RunProbe(const SelectStatement& stmt,
+                                                   const SampleFamily& family,
+                                                   double scale_factor, const Table* dim,
+                                                   const ExecutionOptions& options) const {
+  // Escalate while the match count is too small to estimate selectivity
+  // (rare slices would otherwise produce pure-noise ratios). Logical samples
+  // are prefixes of one another (§4.4), so a chain costs one scan of the
+  // largest level reached, not the sum of levels.
+  Probe probe;
+  probe.resolution = family.smallest_resolution();
+  for (;;) {
+    auto result =
+        ExecuteQuery(stmt, family.LogicalSample(probe.resolution), dim, options);
+    if (!result.ok()) {
+      return result.status();
+    }
+    probe.result = std::move(result.value());
+    if (probe.result.stats.rows_matched >= kMinProbeMatches || probe.resolution == 0) {
+      break;
+    }
+    --probe.resolution;  // escalate to the next larger resolution
+  }
+  probe.latency =
+      LatencyForDataset(family.LogicalSample(probe.resolution), scale_factor);
+  return probe;
 }
 
 QueryRuntime::PipelinePlan QueryRuntime::PlanExact(const SelectStatement& stmt,
@@ -460,32 +453,19 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
   plan.probe_latency = choice.selection_probe_latency;
 
   // --- Probe: smallest resolution, escalating while too few rows match -----
-  // Logical samples are prefixes of one another (§4.4), so an escalation
-  // chain costs one scan of the largest level reached, not the sum of levels.
   // When family selection already probed this family, its answer is reused
   // verbatim (§4.4) — no re-execution, and its latency is already inside the
   // selection makespan.
-  size_t probe_idx;
-  QueryResult probe_result;
-  if (choice.probe_result.has_value()) {
-    probe_idx = choice.probe_resolution;
-    probe_result = std::move(*choice.probe_result);
-  } else {
-    probe_idx = family.smallest_resolution();
-    for (;;) {
-      const Dataset probe = family.LogicalSample(probe_idx);
-      auto result = ExecuteQuery(stmt, probe, dim, ExecOpts());
-      if (!result.ok()) {
-        return result.status();
-      }
-      probe_result = std::move(result.value());
-      if (probe_result.stats.rows_matched >= kMinProbeMatches || probe_idx == 0) {
-        plan.probe_latency += LatencyForDataset(probe, scale_factor);
-        break;
-      }
-      --probe_idx;  // escalate to the next larger resolution
+  if (!choice.probe.has_value()) {
+    auto probe = RunProbe(stmt, family, scale_factor, dim, ExecOpts());
+    if (!probe.ok()) {
+      return probe.status();
     }
+    plan.probe_latency += probe->latency;
+    choice.probe = std::move(probe.value());
   }
+  const size_t probe_idx = choice.probe->resolution;
+  QueryResult& probe_result = choice.probe->result;
   const uint64_t probe_rows = family.resolution(probe_idx).rows;
   const double confidence = ConfidenceFor(stmt.bounds);
   const double probe_matched =
@@ -586,15 +566,8 @@ Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanOnFamily(
     plan.streamed = true;
   } else if (stream_time) {
     // Stream the chosen resolution under the block budget the remaining time
-    // buys for this pipeline. RunPlan merges union pipelines' budgets into
-    // one shared pool under adaptive scheduling; the static per-pipeline cap
-    // is the uniform-schedule (pre-pool) behavior.
+    // buys (RunPlan sizes the plan's pool).
     plan.spec.dataset = family.LogicalSample(chosen);
-    plan.budget_blocks = TimeBudgetBlocks(
-        plan.spec.dataset, scale_factor,
-        stmt.bounds.time_seconds - plan.probe_latency,
-        config_.reuse_intermediate ? probe_rows : 0);
-    plan.spec.max_blocks = plan.budget_blocks;
     plan.scan_resolution = chosen;
     plan.streamed = true;
   } else {
@@ -664,23 +637,18 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
   options.progress = progress;
   options.cancel = cancel;
   options.schedule = config_.schedule_mode;
-  // Adaptive time-bounded unions drain one shared block-budget pool instead
-  // of the static per-pipeline TimeBudgetBlocks caps: blocks the window
-  // affords go wherever the joint error is worst. Single-pipeline plans keep
-  // the per-pipeline cap (the pool degenerates to it anyway), and uniform
-  // scheduling keeps the static split — and its exact consumption trace.
-  if (config_.schedule_mode == ScheduleMode::kAdaptive && plans.size() > 1 &&
-      stmt.bounds.kind == QueryBounds::Kind::kTime) {
-    const uint64_t pool = PoolBudgetBlocks(
-        plans, scale_factor, stmt.bounds.time_seconds - max_probe_latency);
-    if (pool > 0) {
-      options.budget_pool = pool;
-      for (auto& p : plans) {
-        if (p.streamed && p.budget_blocks > 0) {
-          p.spec.max_blocks = 0;  // the pool gates it now
-        }
-      }
-    }
+  // A streamed time-bounded plan drains one block-budget pool under either
+  // schedule: the largest prefix the remaining window buys for one pipeline,
+  // or the combined scan it buys for a union or leveled plan. The schedule
+  // then decides only where those blocks go.
+  if (any_streamed && stmt.bounds.kind == QueryBounds::Kind::kTime) {
+    const double remaining = stmt.bounds.time_seconds - max_probe_latency;
+    const PipelinePlan& only = plans.front();
+    options.budget_pool =
+        plans.size() == 1
+            ? TimeBudgetBlocks(only.dataset, scale_factor, remaining,
+                               config_.reuse_intermediate ? only.probe_rows : 0)
+            : PoolBudgetBlocks(plans, scale_factor, remaining);
   }
 
   options.export_state = resumable;
@@ -1025,22 +993,8 @@ QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
   plan.scan_resolution = 0;
   plan.cap = family->resolution(0).cap;
   plan.model_scale = 1.0;
-  switch (stmt.bounds.kind) {
-    case QueryBounds::Kind::kError:
-      plan.streamed = config_.streaming;
-      break;
-    case QueryBounds::Kind::kTime:
-      if (config_.streaming) {
-        plan.streamed = true;
-        plan.budget_blocks =
-            TimeBudgetBlocks(plan.spec.dataset, /*scale_factor=*/1.0,
-                             stmt.bounds.time_seconds, /*reused_prefix_rows=*/0);
-        plan.spec.max_blocks = plan.budget_blocks;
-      }
-      break;
-    case QueryBounds::Kind::kNone:
-      break;
-  }
+  // Streamed under either bound: the joint error rule, or the plan's pool.
+  plan.streamed = config_.streaming && stmt.bounds.kind != QueryBounds::Kind::kNone;
   plan.dataset = plan.spec.dataset;
   return plan;
 }

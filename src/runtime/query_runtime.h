@@ -24,7 +24,6 @@
 #include "src/cache/answer_cache.h"
 #include "src/cluster/cluster_model.h"
 #include "src/exec/executor.h"
-#include "src/exec/incremental.h"
 #include "src/plan/query_plan.h"
 #include "src/sample/sample_store.h"
 #include "src/sql/ast.h"
@@ -69,8 +68,8 @@ struct RuntimeConfig {
   // are consumed in prefix order, per-round partials fold into running
   // estimates (combined across pipelines for union plans), and the plan
   // stops the moment every group's error at the query's confidence is inside
-  // the bound (ERROR WITHIN) or the time bound's per-pipeline block budgets
-  // are exhausted (WITHIN .. SECONDS). The cluster model is charged only for
+  // the bound (ERROR WITHIN) or the time bound's block-budget pool is spent
+  // (WITHIN .. SECONDS). The cluster model is charged only for
   // blocks actually consumed. false reproduces the paper's one-shot §4.2
   // projection path exactly: the baseline bench_incremental and
   // bench_disjunctive measure against, and the never-stop oracle of the
@@ -82,12 +81,13 @@ struct RuntimeConfig {
   uint32_t stream_batch_blocks = 16;
   // How streamed multi-pipeline union plans spread blocks across their
   // pipelines (src/plan/scheduler.h). kAdaptive awards each round to the
-  // pipeline dominating the joint union error (once every pipeline clears
-  // the fairness floor) and drains WITHIN n SECONDS bounds from one shared
-  // block-budget pool; kUniform reproduces the fixed round-robin — and its
-  // exact block-consumption trace — with static per-pipeline time budgets.
-  // Answers under a never-stop drive are bit-identical in both modes.
-  // kUniform is bench_adaptive's baseline and the fuzz-differential oracle.
+  // pipeline dominating the joint union error once every pipeline clears
+  // the fairness floor; kUniform reproduces the fixed round-robin and its
+  // exact block-consumption trace. A WITHIN n SECONDS bound is one
+  // block-budget pool in both modes, so they spend the same blocks and
+  // differ only in which pipeline gets them. Answers under a never-stop
+  // drive are bit-identical in both modes. kUniform is bench_adaptive's
+  // baseline and the fuzz-differential oracle.
   ScheduleMode schedule_mode = ScheduleMode::kAdaptive;
   // Scan compressed block storage on tables that carry it (see
   // BlinkDB::CompressStorage); false forces raw column scans. Answers and
@@ -267,13 +267,21 @@ class QueryRuntime {
                                       uint32_t batch_blocks_override = 0) const;
 
  private:
+  // One family's escalated probe (§4.1.1, §4.2): the answer at the
+  // smallest resolution that matched kMinProbeMatches rows (or resolution
+  // 0), and the modeled latency of that one prefix scan.
+  struct Probe {
+    QueryResult result;
+    size_t resolution = 0;
+    double latency = 0.0;
+  };
+
   struct FamilyChoice {
     const SampleFamily* family = nullptr;  // null = exact execution
     double selection_probe_latency = 0.0;  // makespan of the parallel probes
-    // §4.4: the winning family's escalated probe answer, handed to
-    // PlanOnFamily so the probe is neither re-executed nor re-charged.
-    std::optional<QueryResult> probe_result;
-    size_t probe_resolution = 0;
+    // §4.4: the winning family's probe, handed to PlanOnFamily so it is
+    // neither re-executed nor re-charged.
+    std::optional<Probe> probe;
   };
 
   // The planned execution of one pipeline plus everything the runtime needs
@@ -297,12 +305,8 @@ class QueryRuntime {
     double projected_error = 0.0;
     uint64_t probe_rows = 0;       // §4.4 prefix already scanned (0 = none)
     uint64_t probe_prefix_blocks = 0;
-    bool streamed = false;         // a stop (error or budget) may end the scan
-    // Block budget a WITHIN n SECONDS bound affords this pipeline alone
-    // (TimeBudgetBlocks); 0 = unbounded. Under uniform scheduling it is the
-    // pipeline's static spec.max_blocks cap; under adaptive scheduling the
-    // union's budgets merge into one shared pool the scheduler drains.
-    uint64_t budget_blocks = 0;
+    // A stop (the error bound, or the time bound's pool) may end the scan.
+    bool streamed = false;
     // Scale the cluster model charges this pipeline's consumed blocks at;
     // 0 = the query's scale_factor. Base pipelines scan samples standing in
     // for a table scale_factor times larger, but an ingest run's rows ARE
@@ -360,6 +364,11 @@ class QueryRuntime {
   Result<FamilyChoice> ChooseFamily(const SelectStatement& stmt,
                                     const std::string& table_name,
                                     double scale_factor, const Table* dim) const;
+  // The probe chain on one family: its smallest resolution, escalating
+  // while fewer than kMinProbeMatches rows match.
+  Result<Probe> RunProbe(const SelectStatement& stmt, const SampleFamily& family,
+                         double scale_factor, const Table* dim,
+                         const ExecutionOptions& options) const;
 
   // §4.2: probe + ELP + resolution choice on one family, producing the
   // pipeline the plan driver will scan (streamed with stops when the bounds
@@ -373,13 +382,15 @@ class QueryRuntime {
 
   // One ingest run's final-only pipeline: the run's best covering family at
   // resolution 0 (stratified covering the predicate columns, else uniform,
-  // else exact scan of the run's rows), streamed/budgeted the same way the
-  // base pipeline is. `sub` is the union-prepared statement.
+  // else exact scan of the run's rows), streamed the same way the base
+  // pipeline is. `sub` is the union-prepared statement.
   PipelinePlan PlanLevel(const SelectStatement& sub, const SelectStatement& stmt,
                          const LevelScan& level, const Table* dim) const;
 
-  // Drives a planned pipeline set and assembles the ExecutionReport:
-  // per-pipeline consumed blocks are charged to the cluster model (minus the
+  // Drives a planned pipeline set and assembles the ExecutionReport. A
+  // streamed time-bounded plan gets its block-budget pool here
+  // (TimeBudgetBlocks for one pipeline, PoolBudgetBlocks for several).
+  // Per-pipeline consumed blocks are charged to the cluster model (minus the
   // §4.4 probe prefixes) with makespan latency across pipelines. A fired
   // `cancel` flag ends the drive at a round boundary; the charges then cover
   // exactly the consumed prefixes, never the planned totals. With a cache
@@ -422,23 +433,22 @@ class QueryRuntime {
                       size_t already_scanned, double scale_factor) const;
   // Largest block prefix of `ds` whose modeled latency fits in
   // `remaining_seconds`, charging nothing for the first `reused_prefix_rows`
-  // rows (the probe's §4.4 prefix). The streamed time-bound budget.
+  // rows (the probe's §4.4 prefix). A one-pipeline plan's pool.
   uint64_t TimeBudgetBlocks(const Dataset& ds, double scale_factor,
                             double remaining_seconds,
                             uint64_t reused_prefix_rows) const;
-  // Shared block-budget pool for an adaptively scheduled time-bounded union:
-  // the largest total block count, across the union's streamed pipelines,
-  // whose combined workload fits in `remaining_seconds` when the pipelines
-  // share the cluster's capacity as one scan (§4.4 probe prefixes are free).
-  // Conservative next to the per-pipeline concurrent budgets — a pool-sized
-  // plan always fits the window under makespan charging too.
+  // The pool of a time-bounded union or leveled plan: the largest total
+  // block count, across its streamed pipelines, whose combined workload fits
+  // in `remaining_seconds` when the pipelines share the cluster's capacity
+  // as one scan (§4.4 probe prefixes are free). A pool-sized plan always
+  // fits the window under makespan charging too.
   uint64_t PoolBudgetBlocks(const std::vector<PipelinePlan>& plans,
                             double scale_factor, double remaining_seconds) const;
 
-  // Scan-engine options for executions issued from the caller's thread.
+  // Scan-engine options for executions issued from the caller's thread: the
+  // scan is as wide as the runtime's pool (exec_threads).
   ExecutionOptions ExecOpts() const {
     ExecutionOptions options;
-    options.num_threads = std::max<size_t>(1, config_.exec_threads);
     options.morsel_rows = config_.morsel_rows;
     options.pool = pool_.get();
     options.compressed_scan = config_.compressed_scan;

@@ -141,6 +141,4 @@ double SampleStore::TotalStorageBytes(const std::string& table_name) const {
   return total;
 }
 
-void SampleStore::Clear(const std::string& table_name) { families_.erase(table_name); }
-
 }  // namespace blink

@@ -48,9 +48,6 @@ class SampleStore {
   // Cumulative physical storage of the table's samples, in bytes.
   double TotalStorageBytes(const std::string& table_name) const;
 
-  // Drops all families for the table.
-  void Clear(const std::string& table_name);
-
  private:
   std::unordered_map<std::string, std::vector<std::unique_ptr<SampleFamily>>> families_;
 };

@@ -431,12 +431,6 @@ Result<QueryResult> DecodeQueryResult(const JsonValue& json) {
   return DecodeAs<QueryResult>(json, "QueryResult");
 }
 
-JsonValue EncodeProgress(const StreamProgress& progress) { return Encode(progress); }
-
-Result<StreamProgress> DecodeProgress(const JsonValue& json) {
-  return DecodeAs<StreamProgress>(json, "StreamProgress");
-}
-
 JsonValue EncodeReport(const ExecutionReport& report) { return Encode(report); }
 
 Result<ExecutionReport> DecodeReport(const JsonValue& json) {

@@ -23,7 +23,6 @@
 #include <variant>
 #include <vector>
 
-#include "src/exec/incremental.h"
 #include "src/runtime/query_runtime.h"
 #include "src/storage/value.h"
 #include "src/util/json.h"
@@ -220,8 +219,6 @@ JsonValue EncodeQueryResult(const QueryResult& result);
 Result<QueryResult> DecodeQueryResult(const JsonValue& json);
 JsonValue EncodeReport(const ExecutionReport& report);
 Result<ExecutionReport> DecodeReport(const JsonValue& json);
-JsonValue EncodeProgress(const StreamProgress& progress);
-Result<StreamProgress> DecodeProgress(const JsonValue& json);
 
 }  // namespace blink
 

@@ -82,36 +82,4 @@ double HistogramDensityAt(const std::vector<double>& sorted, double x, int num_b
   return std::max(density, floor_density);
 }
 
-double ExcessKurtosis(const std::vector<double>& values) {
-  if (values.size() < 2) {
-    return 0.0;
-  }
-  RunningMoments m;
-  for (double v : values) {
-    m.Add(v);
-  }
-  const double mean = m.mean();
-  const double var = m.variance_population();
-  if (var <= 0.0) {
-    return 0.0;
-  }
-  double fourth = 0.0;
-  for (double v : values) {
-    const double d = v - mean;
-    fourth += d * d * d * d;
-  }
-  fourth /= static_cast<double>(values.size());
-  return fourth / (var * var) - 3.0;
-}
-
-uint64_t TailNonUniformity(const std::vector<uint64_t>& frequencies, uint64_t cap_k) {
-  uint64_t tail = 0;
-  for (uint64_t f : frequencies) {
-    if (f < cap_k) {
-      ++tail;
-    }
-  }
-  return tail;
-}
-
 }  // namespace blink

@@ -3,7 +3,6 @@
 #ifndef BLINKDB_STATS_DESCRIPTIVE_H_
 #define BLINKDB_STATS_DESCRIPTIVE_H_
 
-#include <cstdint>
 #include <vector>
 
 namespace blink {
@@ -43,16 +42,6 @@ double SampleQuantile(const std::vector<double>& sorted, double p);
 // `num_bins` equal-width bins over the sample range. Used for the quantile
 // variance term 1/f(x_p)^2 * p(1-p)/n. `sorted` must be ascending, non-empty.
 double HistogramDensityAt(const std::vector<double>& sorted, double x, int num_bins = 64);
-
-// Excess kurtosis of a sample (one possible skew metric Delta in §3.2.1).
-double ExcessKurtosis(const std::vector<double>& values);
-
-// --- Frequency-based non-uniformity -----------------------------------------
-
-// The paper's non-uniformity metric Delta(phi) (§3.2.1): the number of
-// distinct values whose frequency is below the cap K (the "length of the
-// tail"). `frequencies` holds the per-distinct-value counts.
-uint64_t TailNonUniformity(const std::vector<uint64_t>& frequencies, uint64_t cap_k);
 
 }  // namespace blink
 

@@ -316,10 +316,4 @@ Estimate WeightedQuantile(std::vector<std::pair<double, double>> value_weight, d
   return est;
 }
 
-double RowsNeededForError(double variance_per_row, double target_error, double confidence) {
-  assert(target_error > 0.0);
-  const double z = ZValueForConfidence(confidence);
-  return z * z * variance_per_row / (target_error * target_error);
-}
-
 }  // namespace blink

@@ -93,13 +93,6 @@ Estimate StratifiedAvg(const std::vector<StratumSummary>& strata);
 // n_eff = (sum w)^2 / sum w^2 in the Table 2 quantile formula.
 Estimate WeightedQuantile(std::vector<std::pair<double, double>> value_weight, double p);
 
-// --- Inverse problems used by the ELP (§4.2) ---------------------------------
-
-// Smallest number of matched rows n such that the AVG/SUM-style error
-// z * sqrt(variance_per_row / n) is <= target_error. variance_per_row is the
-// estimated S_n^2 (or the domain-variance for SUM/COUNT).
-double RowsNeededForError(double variance_per_row, double target_error, double confidence);
-
 }  // namespace blink
 
 #endif  // BLINKDB_STATS_ESTIMATORS_H_

@@ -6,7 +6,8 @@
 // closed-form estimates (sufficient statistics add over any partition of the
 // scan, so the §4.3 estimators stay exact on every prefix) and consults a
 // StopPolicy after each batch: stop the moment every group's error at the
-// query's confidence is inside the bound, or when a block budget runs out.
+// query's confidence is inside the bound. (A time bound's block budget is
+// the plan driver's pool, src/plan/query_plan.h, not part of this rule.)
 //
 // Guards keep the rule honest: tiny prefixes produce noisy variance
 // estimates whose intervals under-cover, so no error stop may fire before
@@ -60,8 +61,6 @@ struct StopPolicy {
   // Guards against spurious stops on tiny prefixes.
   uint64_t min_blocks = 4;
   double min_matched = 60.0;
-  // Hard cap on blocks consumed (a time bound's block budget); 0 = none.
-  uint64_t max_blocks = 0;
 
   struct Decision {
     // Worst error over the partial answer's groups/aggregates at `confidence`.

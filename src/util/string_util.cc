@@ -13,14 +13,6 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-std::string AsciiToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) {
     return false;

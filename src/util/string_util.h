@@ -11,9 +11,6 @@ namespace blink {
 // Lowercases ASCII characters in `s`.
 std::string AsciiToLower(std::string_view s);
 
-// Uppercases ASCII characters in `s`.
-std::string AsciiToUpper(std::string_view s);
-
 // Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 

@@ -20,7 +20,6 @@
 
 #include "src/api/blinkdb.h"
 #include "src/exec/executor.h"
-#include "src/exec/incremental.h"
 #include "src/plan/query_plan.h"
 #include "src/plan/scheduler.h"
 #include "src/plan/union_combiner.h"
@@ -89,6 +88,17 @@ struct Tally {
   int bound_violations = 0;  // stopped early but achieved > target
 };
 
+// A streamed scan of one dataset: the 1-pipeline plan ExecuteQuery builds.
+Result<PlanResult> ExecuteOnePipeline(const SelectStatement& stmt, const Dataset& ds,
+                                      const PlanOptions& options) {
+  QueryPlan plan;
+  PipelineSpec spec;
+  spec.stmt = stmt;
+  spec.dataset = ds;
+  plan.pipelines.push_back(std::move(spec));
+  return ExecutePlan(plan, options);
+}
+
 void RunTrials(const Table& population, bool stratified, int trials,
                Tally (&tallies)[3], const double (&exact)[3]) {
   std::vector<SelectStatement> stmts;
@@ -110,14 +120,14 @@ void RunTrials(const Table& population, bool stratified, int trials,
     const Dataset ds = family->LogicalSample(0);
 
     for (size_t c = 0; c < 3; ++c) {
-      StreamOptions stream;
+      PlanOptions stream;
       stream.exec.morsel_rows = 1'024;
       stream.batch_blocks = 2;
       stream.policy.target_error = kCases[c].target_error;
       stream.policy.confidence = kConfidence;
       stream.policy.min_blocks = 4;
       stream.policy.min_matched = 60.0;
-      auto streamed = ExecuteQueryIncremental(stmts[c], ds, nullptr, stream);
+      auto streamed = ExecuteOnePipeline(stmts[c], ds, stream);
       ASSERT_TRUE(streamed.ok()) << kCases[c].sql;
       ASSERT_EQ(streamed->result.rows.size(), 1u);
       const Estimate& est = streamed->result.rows[0].aggregates[0];

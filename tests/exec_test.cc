@@ -189,12 +189,10 @@ TEST(ExecutorTest, PaperStratifiedSumExample) {
   const Table full = SessionsTable();
   // Build the sample from Table 4 of the paper: rows yahoo/google(safari)/bing.
   const Table sample_rows = full.SelectRows({1, 3, 4});
-  std::vector<double> weights = {3.0, 1.0, 1.0};       // 1/rate
   std::vector<uint32_t> strata = {0, 1, 2};            // Firefox, Safari, IE
   std::vector<StratumCounts> counts = {{3.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}};
   Dataset ds;
   ds.table = &sample_rows;
-  ds.weights = &weights;
   ds.strata = &strata;
   ds.stratum_counts = &counts;
 
@@ -231,12 +229,10 @@ TEST(ExecutorTest, UniformSampleCountCalibration) {
     }
   }
   const Table sample = t.SelectRows(rows);
-  std::vector<double> weights(rows.size(), static_cast<double>(kRows) / rows.size());
   std::vector<StratumCounts> counts = {
       {static_cast<double>(kRows), static_cast<double>(rows.size())}};
   Dataset ds;
   ds.table = &sample;
-  ds.weights = &weights;
   ds.stratum_counts = &counts;
 
   const QueryResult r = MustRun("SELECT COUNT(*) FROM t WHERE g = 1", ds);
@@ -254,13 +250,6 @@ TEST(ExecutorTest, ErrorsSurfaceFromBadQueries) {
   auto stmt2 = ParseSelect("SELECT COUNT(*) FROM s JOIN d ON url = name");
   ASSERT_TRUE(stmt2.ok());
   EXPECT_FALSE(ExecuteQuery(*stmt2, Dataset::Exact(t)).ok());
-}
-
-TEST(ExecutorTest, MaxRelativeErrorZeroForExact) {
-  const Table t = SessionsTable();
-  const QueryResult r =
-      MustRun("SELECT city, COUNT(*) FROM s GROUP BY city", Dataset::Exact(t));
-  EXPECT_DOUBLE_EQ(r.MaxRelativeError(0.95), 0.0);
 }
 
 TEST(ExecutorTest, ToStringRendersRows) {

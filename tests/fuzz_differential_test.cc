@@ -373,17 +373,22 @@ TEST(FuzzDifferentialTest, TimeBoundedRunsKeepConsistentAccounting) {
                             std::to_string(seconds) + " SECONDS";
     auto stmt = ParseSelect(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
+    std::vector<uint64_t> consumed;
     for (ScheduleMode mode : {ScheduleMode::kUniform, ScheduleMode::kAdaptive}) {
       const ApproxAnswer answer =
           fx.MustExecute(*stmt, StreamingConfig(mode, 1, 512, 2));
       const std::string context = sql + " [" + ScheduleModeName(mode) + "]";
       ExpectConsistentAccounting(answer.report, context);
       EXPECT_GT(answer.report.blocks_consumed, 0u) << context;
+      consumed.push_back(answer.report.blocks_consumed);
       if (answer.report.stopped_early) {
         ++partial_runs;
         EXPECT_FALSE(answer.result.rows.empty()) << context;
       }
     }
+    // A time bound is one block pool: the schedules differ only in which
+    // pipeline gets blocks, never in how many the budget spends.
+    EXPECT_EQ(consumed[0], consumed[1]) << sql;
   }
   EXPECT_GE(partial_runs, 2) << "time budgets never truncated a scan; retune bounds";
 }

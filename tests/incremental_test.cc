@@ -19,13 +19,14 @@
 #include <vector>
 
 #include "src/exec/executor.h"
-#include "src/exec/incremental.h"
 #include "src/exec/morsel.h"
+#include "src/plan/query_plan.h"
 #include "src/runtime/query_runtime.h"
 #include "src/sample/sample_family.h"
 #include "src/sql/parser.h"
 #include "src/stats/stopping.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace blink {
 namespace {
@@ -147,6 +148,17 @@ SampleFamily MustBuildStratified(const Table& fact, uint64_t cap, uint64_t seed)
   return std::move(family.value());
 }
 
+// A streamed scan of one dataset: the 1-pipeline plan ExecuteQuery builds.
+Result<PlanResult> ExecuteOnePipeline(const SelectStatement& stmt, const Dataset& ds,
+                                      const PlanOptions& options) {
+  QueryPlan plan;
+  PipelineSpec spec;
+  spec.stmt = stmt;
+  spec.dataset = ds;
+  plan.pipelines.push_back(std::move(spec));
+  return ExecutePlan(plan, options);
+}
+
 SampleFamily MustBuildUniform(const Table& fact, double fraction, uint64_t seed) {
   Rng rng(seed);
   SampleFamilyOptions options;
@@ -174,21 +186,22 @@ void CheckDifferential(const Dataset& ds, uint64_t seed, int num_queries) {
     ASSERT_TRUE(scalar.ok()) << sql;
     for (uint32_t morsel_rows : {64u, 1024u, kDefaultMorselRows}) {
       for (size_t threads : {1u, 2u, 7u}) {
+        ThreadPool pool(threads);
         ExecutionOptions exec;
-        exec.num_threads = threads;
+        exec.pool = &pool;
         exec.morsel_rows = morsel_rows;
         auto oneshot = ExecuteQuery(*stmt, ds, nullptr, exec);
         ASSERT_TRUE(oneshot.ok()) << sql;
         ExpectClose(*oneshot, *scalar, sql + " [one-shot vs scalar]");
         for (uint32_t batch : {1u, 3u, 1000u}) {
-          StreamOptions stream;
+          PlanOptions stream;
           stream.exec = exec;
           stream.batch_blocks = batch;
           size_t callbacks = 0;
           stream.progress = [&callbacks](const QueryResult&, const StreamProgress&) {
             ++callbacks;
           };
-          auto streamed = ExecuteQueryIncremental(*stmt, ds, nullptr, stream);
+          auto streamed = ExecuteOnePipeline(*stmt, ds, stream);
           ASSERT_TRUE(streamed.ok()) << sql;
           const std::string context = sql + " [threads=" + std::to_string(threads) +
                                       " morsel=" + std::to_string(morsel_rows) +
@@ -237,15 +250,16 @@ void CheckStoppingProperty(const Dataset& ds, uint64_t seed, int num_queries,
     ASSERT_TRUE(stmt.ok()) << sql;
     const double target = 0.01 + rng.NextDouble() * 0.25;
 
-    StreamOptions stream;
-    stream.exec.num_threads = 1 + rng.NextBounded(4);
+    PlanOptions stream;
+    ThreadPool pool(1 + rng.NextBounded(4));
+    stream.exec.pool = &pool;
     stream.exec.morsel_rows = 512;
     stream.batch_blocks = 1 + static_cast<uint32_t>(rng.NextBounded(4));
     stream.policy.target_error = target;
     stream.policy.confidence = 0.95;
     stream.policy.min_blocks = 2;
     stream.policy.min_matched = 40.0;
-    auto streamed = ExecuteQueryIncremental(*stmt, ds, nullptr, stream);
+    auto streamed = ExecuteOnePipeline(*stmt, ds, stream);
     ASSERT_TRUE(streamed.ok()) << sql;
 
     const std::string context = sql + " [target=" + std::to_string(target) + "]";
@@ -296,13 +310,13 @@ TEST(StoppingRuleTest, ExactTablesNeverStopEarly) {
   const Table fact = MakeFact();
   auto stmt = ParseSelect("SELECT AVG(v) FROM t");
   ASSERT_TRUE(stmt.ok());
-  StreamOptions stream;
+  PlanOptions stream;
   stream.exec.morsel_rows = 512;
   stream.batch_blocks = 1;
   stream.policy.target_error = 0.5;  // trivially met — must still be ignored
   stream.policy.min_blocks = 1;
   stream.policy.min_matched = 1.0;
-  auto streamed = ExecuteQueryIncremental(*stmt, Dataset::Exact(fact), nullptr, stream);
+  auto streamed = ExecuteOnePipeline(*stmt, Dataset::Exact(fact), stream);
   ASSERT_TRUE(streamed.ok());
   EXPECT_FALSE(streamed->stopped_early);
   EXPECT_EQ(streamed->blocks_consumed, streamed->blocks_total);
@@ -320,10 +334,10 @@ TEST(StoppingRuleTest, BlockBudgetFloorsAtSmallestResolution) {
   ASSERT_GT(smallest_rows, morsel_rows);  // the floor is > 1 block
   auto stmt = ParseSelect("SELECT COUNT(*), SUM(v) FROM t");
   ASSERT_TRUE(stmt.ok());
-  StreamOptions stream;
+  PlanOptions stream;
   stream.exec.morsel_rows = morsel_rows;
-  stream.policy.max_blocks = 1;  // below the smallest resolution
-  auto streamed = ExecuteQueryIncremental(*stmt, ds, nullptr, stream);
+  stream.budget_pool = 1;  // below the smallest resolution
+  auto streamed = ExecuteOnePipeline(*stmt, ds, stream);
   ASSERT_TRUE(streamed.ok());
   EXPECT_TRUE(streamed->stopped_early);
   EXPECT_EQ(streamed->rows_consumed, smallest_rows);
@@ -354,11 +368,11 @@ TEST(StoppingRuleTest, BlockBudgetIsExactForEveryBatchSize) {
   ASSERT_TRUE(stmt.ok());
   for (uint32_t batch : {0u, 2u, 3u, 4u}) {
     for (uint64_t budget : {uint64_t{1}, floor_blocks + 3}) {
-      StreamOptions stream;
+      PlanOptions stream;
       stream.exec.morsel_rows = morsel_rows;
       stream.batch_blocks = batch;
-      stream.policy.max_blocks = budget;
-      auto streamed = ExecuteQueryIncremental(*stmt, ds, nullptr, stream);
+      stream.budget_pool = budget;
+      auto streamed = ExecuteOnePipeline(*stmt, ds, stream);
       ASSERT_TRUE(streamed.ok());
       EXPECT_EQ(streamed->blocks_consumed, std::max(budget, floor_blocks))
           << "batch=" << batch << " budget=" << budget;
@@ -374,11 +388,11 @@ TEST(StoppingRuleTest, BlockBudgetIsExact) {
   const Dataset ds = uniform.LogicalSample(0);
   const MorselPlan plan = ds.PlanMorsels(512);
   ASSERT_GT(plan.num_blocks(), 6u);
-  StreamOptions stream;
+  PlanOptions stream;
   stream.exec.morsel_rows = 512;
   stream.batch_blocks = 2;
-  stream.policy.max_blocks = 5;
-  auto streamed = ExecuteQueryIncremental(*stmt, ds, nullptr, stream);
+  stream.budget_pool = 5;
+  auto streamed = ExecuteOnePipeline(*stmt, ds, stream);
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(streamed->blocks_consumed, 5u);
   EXPECT_TRUE(streamed->stopped_early);
@@ -398,7 +412,7 @@ TEST(ProgressCallbackTest, MonotoneAndFinal) {
   const SampleFamily uniform = MustBuildUniform(fact, 0.5, 10);
   auto stmt = ParseSelect("SELECT AVG(v), COUNT(*) FROM t WHERE a < 5");
   ASSERT_TRUE(stmt.ok());
-  StreamOptions stream;
+  PlanOptions stream;
   stream.exec.morsel_rows = 512;
   stream.batch_blocks = 3;
   std::vector<StreamProgress> seen;
@@ -406,7 +420,7 @@ TEST(ProgressCallbackTest, MonotoneAndFinal) {
     EXPECT_FALSE(partial.rows.empty());  // global aggregate: always one row
     seen.push_back(p);
   };
-  auto streamed = ExecuteQueryIncremental(*stmt, uniform.LogicalSample(0), nullptr, stream);
+  auto streamed = ExecuteOnePipeline(*stmt, uniform.LogicalSample(0), stream);
   ASSERT_TRUE(streamed.ok());
   ASSERT_GE(seen.size(), 2u);
   for (size_t i = 0; i < seen.size(); ++i) {

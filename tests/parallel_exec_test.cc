@@ -20,6 +20,7 @@
 #include "src/sample/sample_family.h"
 #include "src/sql/parser.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace blink {
 namespace {
@@ -168,13 +169,13 @@ void CheckDatasetProperty(const Dataset& ds, uint64_t seed, int num_queries) {
     ASSERT_TRUE(scalar.ok()) << sql;
     for (uint32_t morsel_rows : {64u, 1000u, 4096u}) {
       ExecutionOptions serial;
-      serial.num_threads = 1;
       serial.morsel_rows = morsel_rows;
       const QueryResult reference = MustRun(*stmt, ds, serial);
       ExpectClose(reference, *scalar, sql + " [scalar vs morsel]");
       for (size_t threads : {2u, 4u, 8u}) {
+        ThreadPool pool(threads);
         ExecutionOptions parallel = serial;
-        parallel.num_threads = threads;
+        parallel.pool = &pool;
         const QueryResult got = MustRun(*stmt, ds, parallel);
         ExpectIdentical(got, reference,
                         sql + " [threads=" + std::to_string(threads) +
@@ -242,8 +243,9 @@ TEST(ParallelExecTest, DeterministicWithJoin) {
       ASSERT_TRUE(reference.ok()) << sql;
       ExpectClose(*reference, *scalar, std::string(sql) + " scalar-vs-morsel");
       for (size_t threads : {2u, 4u, 8u}) {
+        ThreadPool pool(threads);
         ExecutionOptions parallel = serial;
-        parallel.num_threads = threads;
+        parallel.pool = &pool;
         auto got = ExecuteQuery(*stmt, ds, &dim, parallel);
         ASSERT_TRUE(got.ok()) << sql;
         ExpectIdentical(*got, *reference,

@@ -85,79 +85,16 @@ TEST(ScanPipelineTest, FullAdvanceMatchesOneShotExecutor) {
   auto snap = pipe.Snapshot();
   ASSERT_TRUE(snap.ok());
   ExpectIdentical(*snap, *oneshot);
-}
-
-TEST(ScanPipelineTest, BudgetStopsAtWholeBlocks) {
-  const Table fact = MakeFact();
-  Rng rng(9);
-  SampleFamilyOptions options;
-  options.uniform_fraction = 0.5;
-  auto family = SampleFamily::BuildUniform(fact, options, rng);
-  ASSERT_TRUE(family.ok());
-  const Dataset ds = family->LogicalSample(0);
-
-  auto stmt = ParseSelect("SELECT SUM(v) FROM t");
-  ASSERT_TRUE(stmt.ok());
-  ExecutionOptions exec;
-  exec.morsel_rows = 256;
-  PipelineSpec spec;
-  spec.stmt = *stmt;
-  spec.dataset = ds;
-  spec.max_blocks = 6;
-  ScanPipeline pipe;
-  ASSERT_TRUE(pipe.Init(std::move(spec), exec, /*may_stop_early=*/true).ok());
-  pipe.Advance(1000);
-  EXPECT_TRUE(pipe.complete());
-  EXPECT_FALSE(pipe.exhausted());
-  EXPECT_GE(pipe.blocks_consumed(), 6u);  // floored at the smallest resolution
-  const MorselPlan plan = ds.PlanMorsels(256);
-  EXPECT_EQ(pipe.rows_consumed(), plan.morsels[pipe.blocks_consumed() - 1].end);
-}
-
-TEST(ScanPipelineTest, AdvancePastBudgetIsANoOp) {
-  const Table fact = MakeFact();
-  Rng rng(9);
-  SampleFamilyOptions options;
-  options.uniform_fraction = 0.5;
-  auto family = SampleFamily::BuildUniform(fact, options, rng);
-  ASSERT_TRUE(family.ok());
-  const Dataset ds = family->LogicalSample(0);
-
-  auto stmt = ParseSelect("SELECT SUM(v) FROM t");
-  ASSERT_TRUE(stmt.ok());
-  ExecutionOptions exec;
-  exec.morsel_rows = 256;
-  PipelineSpec spec;
-  spec.stmt = *stmt;
-  spec.dataset = ds;
-  spec.max_blocks = 6;
-  ScanPipeline pipe;
-  ASSERT_TRUE(pipe.Init(std::move(spec), exec, /*may_stop_early=*/true).ok());
-  const uint64_t budget = std::max<uint64_t>(6, pipe.min_stop_blocks());
-  // Consume in small rounds: each grows by at most the asked-for blocks and
-  // never crosses the clamped budget.
-  uint64_t prev = 0;
-  while (!pipe.complete()) {
-    pipe.Advance(2);
-    EXPECT_GE(pipe.blocks_consumed(), prev);
-    EXPECT_LE(pipe.blocks_consumed(), prev + 2);
-    EXPECT_LE(pipe.blocks_consumed(), budget);
-    prev = pipe.blocks_consumed();
-  }
-  EXPECT_EQ(pipe.blocks_consumed(), budget);
-  auto before = pipe.Snapshot();
-  ASSERT_TRUE(before.ok());
+  // Past the last block every further Advance — any size — is a no-op:
+  // consumption, accounting, and the snapshot all stay frozen.
   const double bytes = pipe.bytes_scanned();
-  // Once the budget is exhausted every further Advance — any size — is a
-  // no-op: consumption, accounting, and the snapshot all stay frozen.
   pipe.Advance(0);
-  pipe.Advance(1);
   pipe.Advance(1'000'000);
-  EXPECT_EQ(pipe.blocks_consumed(), budget);
+  EXPECT_EQ(pipe.blocks_consumed(), pipe.blocks_total());
   EXPECT_EQ(pipe.bytes_scanned(), bytes);
   auto after = pipe.Snapshot();
   ASSERT_TRUE(after.ok());
-  ExpectIdentical(*after, *before);
+  ExpectIdentical(*after, *snap);
 }
 
 TEST(ScanPipelineTest, SnapshotBytesScannedMatchesPipelineAccounting) {
@@ -232,7 +169,6 @@ TEST(ScanPipelineTest, PrecomputedPipelineIsBornComplete) {
   ScanPipeline pipe;
   ASSERT_TRUE(pipe.Init(std::move(spec), ExecutionOptions{}, false).ok());
   EXPECT_TRUE(pipe.complete());
-  EXPECT_TRUE(pipe.exhausted());
   EXPECT_EQ(pipe.rows_consumed(), fact.num_rows());
   auto snap = pipe.Snapshot();
   ASSERT_TRUE(snap.ok());
@@ -594,7 +530,7 @@ TEST(SchedulerTest, FairnessFloorFeedsEveryPipelineBeforeReallocation) {
   EXPECT_LE(run->achieved_error, 0.12 * (1.0 + 1e-9));
 }
 
-TEST(SchedulerTest, SharedPoolDrainsExactlyAndFoldsPolicyMaxBlocks) {
+TEST(SchedulerTest, SharedPoolDrainsExactly) {
   const SkewedPlanFixture fx;
   PlanOptions options = fx.MakeOptions(ScheduleMode::kAdaptive);
   options.budget_pool = 12;  // no error target: a pure budget drive
@@ -609,19 +545,6 @@ TEST(SchedulerTest, SharedPoolDrainsExactlyAndFoldsPolicyMaxBlocks) {
   EXPECT_GE(pooled->pipelines[1].blocks_consumed, 4u);
   EXPECT_GT(pooled->pipelines[1].blocks_consumed,
             pooled->pipelines[0].blocks_consumed);
-
-  // PlanOptions::policy.max_blocks is a joint cap, folded into the pool —
-  // never silently dropped: the two spellings drive identical plans.
-  PlanOptions folded = fx.MakeOptions(ScheduleMode::kAdaptive);
-  folded.policy.max_blocks = 12;
-  auto via_policy = ExecutePlan(fx.MakePlan(), folded);
-  ASSERT_TRUE(via_policy.ok());
-  EXPECT_EQ(via_policy->blocks_consumed, pooled->blocks_consumed);
-  ASSERT_EQ(via_policy->pipelines.size(), pooled->pipelines.size());
-  for (size_t i = 0; i < pooled->pipelines.size(); ++i) {
-    EXPECT_EQ(via_policy->pipelines[i].blocks_consumed,
-              pooled->pipelines[i].blocks_consumed);
-  }
 }
 
 TEST(SchedulerTest, ExactPipelineIgnoresThePool) {
@@ -877,7 +800,7 @@ TEST(PipelineSourceTest, EveryGrantOfARoundGoesOutBeforeAnyAwait) {
 
 // A source that freezes mid-plan (a shard that stalled or died after its
 // first answer) is complete at its last snapshot: never granted again, still
-// combined, and exhausted, so the plan does not count as stopped early.
+// combined, and the plan does not count as stopped early.
 TEST(PipelineSourceTest, FrozenSourceKeepsItsLastSnapshotAndIsNeverGrantedAgain) {
   std::vector<std::string> log;
   ScriptedSource a(0, 8, &log);

@@ -297,9 +297,6 @@ TEST(SampleStoreTest, RegistrationAndLookup) {
   EXPECT_EQ(store.FamiliesFor("t").size(), 2u);
   EXPECT_TRUE(store.RemoveUniform("t"));
   EXPECT_EQ(store.UniformFamily("t"), nullptr);
-
-  store.Clear("t");
-  EXPECT_TRUE(store.FamiliesFor("t").empty());
 }
 
 TEST(MaintenanceTest, NoDriftOnSameData) {

@@ -203,21 +203,6 @@ TEST(HistogramDensityTest, NeverZero) {
   EXPECT_GT(HistogramDensityAt(v, 500.0), 0.0);
 }
 
-TEST(KurtosisTest, NormalIsNearZero) {
-  Rng rng(7);
-  std::vector<double> v;
-  for (int i = 0; i < 100'000; ++i) {
-    v.push_back(rng.NextGaussian());
-  }
-  EXPECT_NEAR(ExcessKurtosis(v), 0.0, 0.1);
-}
-
-TEST(TailNonUniformityTest, CountsBelowCap) {
-  EXPECT_EQ(TailNonUniformity({1, 5, 10, 100, 1000}, 100), 3u);
-  EXPECT_EQ(TailNonUniformity({}, 10), 0u);
-  EXPECT_EQ(TailNonUniformity({5, 5, 5}, 5), 0u);  // strictly below
-}
-
 // --- Estimators (Table 2) ----------------------------------------------------
 
 TEST(NormalQuantileTest, KnownValues) {
@@ -511,15 +496,6 @@ TEST(ErrorDecompositionTest, DominatingEstimateIsTheArgmax) {
   // All-exact input: nothing dominates.
   const std::vector<Estimate> exact = {{5.0, 0.0}, {7.0, 0.0}};
   EXPECT_EQ(DominatingEstimate(exact, /*relative=*/true, 0.95), exact.size());
-}
-
-TEST(RowsNeededTest, InverseOfErrorFormula) {
-  // With per-row variance 100 and target error 1 at 95%, n = z^2*100.
-  const double n = RowsNeededForError(100.0, 1.0, 0.95);
-  const double z = ZValueForConfidence(0.95);
-  EXPECT_NEAR(n, z * z * 100.0, 1e-9);
-  // Sanity: plugging back, error at that n equals the target.
-  EXPECT_NEAR(z * std::sqrt(100.0 / n), 1.0, 1e-9);
 }
 
 }  // namespace
