@@ -8,7 +8,9 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "== configure =="
-cmake -B "$BUILD_DIR" -S .
+# Warnings fail the main build. -Werror stays out of CMakeLists.txt, which
+# perfbench's build pulls in through add_subdirectory.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"

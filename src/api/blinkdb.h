@@ -97,15 +97,16 @@ class BlinkDB {
   //
   // Append() seals each batch as an immutable level-0 run of the table's
   // leveled store; queries union the pinned runs with the base table as
-  // extra plan pipelines. MaintenanceTick() (or the background thread, when
-  // ConfigureIngest enables one) compacts runs into leveled merged runs and
-  // rebuilds sample families over them. Every publication bumps the table's
-  // catalog generation, so cached answers over a stale level set never
-  // serve. A query pins the level set it starts with: appends and merges
-  // landing mid-query are invisible to it (snapshot isolation).
+  // extra plan pipelines. MaintenanceTick() compacts runs into leveled merged
+  // runs and rebuilds sample families over them; the caller drives it (the
+  // server runs one tick after every APPEND, so the writer pays for merges).
+  // Every publication bumps the table's catalog generation, so cached
+  // answers over a stale level set never serve. A query pins the level set
+  // it starts with: appends and merges landing mid-query are invisible to it
+  // (snapshot isolation).
 
   // Installs a leveled store for the table with explicit options (merge
-  // fanout, sampling threshold, seeds, background cadence). Optional:
+  // fanout, sampling threshold, seeds, compression). Optional:
   // Append() creates a store with defaults — family shapes mirroring the
   // table's built samples, compression matching CompressStorage — on first
   // use. Fails if the table is unknown, is a dimension table, or already has
@@ -113,13 +114,13 @@ class BlinkDB {
   Status ConfigureIngest(const std::string& table_name, LeveledStoreOptions options);
 
   // Appends `rows` as one sealed level-0 run. Thread-safe against concurrent
-  // queries, appends, and maintenance. Returns the store's manifest version
-  // after publication.
+  // queries, appends, and maintenance. Runs no merge itself: merge debt waits
+  // for the next MaintenanceTick(). Returns the store's manifest version after
+  // publication.
   Result<uint64_t> Append(const std::string& table_name, Table rows);
 
   // Runs one merge step of the table's leveled store; returns whether a
   // merge happened. False when the table has no store or no level is due.
-  // The deterministic test-driven alternative to the background thread.
   Result<bool> MaintenanceTick(const std::string& table_name);
 
   // The table's leveled store, or null if ingest was never used.

@@ -1,21 +1,11 @@
 #include "src/cache/answer_cache.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
-#include "src/util/string_util.h"
+#include "src/sql/sql_render.h"
 
 namespace blink {
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 const char* CacheOutcomeName(CacheOutcome outcome) {
   switch (outcome) {
@@ -114,56 +104,12 @@ size_t AnswerCache::size() const {
 std::string AnswerCacheKey(const SelectStatement& stmt, uint64_t table_generation,
                            uint32_t morsel_rows, bool compressed_scan,
                            bool filter_encoded_views) {
-  std::string key;
-  key.reserve(128);
-  key += "t=";
-  key += AsciiToLower(stmt.table);
-  key += "|g=";
-  key += std::to_string(table_generation);
-  key += "|m=";
-  key += std::to_string(morsel_rows);
-  key += "|st=";
+  std::string key = "g=" + std::to_string(table_generation) +
+                    "|m=" + std::to_string(morsel_rows) + "|st=";
   key += compressed_scan ? '1' : '0';
   key += filter_encoded_views ? '1' : '0';
-  if (stmt.join.has_value()) {
-    key += "|j=";
-    key += AsciiToLower(stmt.join->table);
-    key += '.';
-    key += AsciiToLower(stmt.join->left_column);
-    key += '=';
-    key += AsciiToLower(stmt.join->right_column);
-  }
-  key += "|s=";
-  for (const SelectItem& item : stmt.items) {
-    if (item.is_aggregate) {
-      key += AggFuncName(item.agg.func);
-      key += '(';
-      key += item.agg.count_star ? "*" : AsciiToLower(item.agg.column);
-      if (item.agg.func == AggFunc::kQuantile) {
-        key += ',';
-        key += FormatDouble(item.agg.quantile_p);
-      }
-      key += ')';
-    } else {
-      key += AsciiToLower(item.column);
-    }
-    if (!item.alias.empty()) {
-      key += " as ";
-      key += item.alias;
-    }
-    key += ',';
-  }
-  key += "|gb=";
-  for (const std::string& col : stmt.group_by) {
-    key += AsciiToLower(col);
-    key += ',';
-  }
-  if (stmt.having.has_value()) {
-    key += "|h=";
-    key += stmt.having->CanonicalString();
-  }
-  key += "|w=";
-  key += stmt.where.has_value() ? stmt.where->CanonicalString() : "";
+  key += '|';
+  key += RenderSelect(stmt, RenderMode::kCanonical);
   if (stmt.report_error_columns) {
     key += "|e=1";
   }

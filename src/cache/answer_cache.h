@@ -139,14 +139,15 @@ class AnswerCache {
 };
 
 // The cache key for a statement over a table at a catalog generation. Keyed
-// on everything that determines the ANSWER and the SCAN DECOMPOSITION:
-// table + generation, morsel size, storage path flags, join, select shape
-// (aggregates, aliases, error columns), GROUP BY, HAVING, and the WHERE
-// clause's order-insensitive Predicate::CanonicalString. Deliberately
-// EXCLUDED: the error bound and confidence — error-bounded streamed scans
-// over a family always consume its largest resolution in prefix order, so
-// one snapshot serves every bound, and confidence only parameterizes error
-// rendering (never the estimates themselves).
+// on everything that determines the ANSWER and the SCAN DECOMPOSITION: the
+// generation, morsel size, storage path flags, the error-columns flag, and
+// the statement's canonical rendering (RenderSelect in kCanonical mode:
+// table, join, select shape, WHERE, GROUP BY and HAVING, order-insensitive,
+// with exact literals). Deliberately EXCLUDED: the error bound and
+// confidence — error-bounded streamed scans over a family always consume its
+// largest resolution in prefix order, so one snapshot serves every bound,
+// and confidence only parameterizes error rendering (never the estimates
+// themselves).
 std::string AnswerCacheKey(const SelectStatement& stmt, uint64_t table_generation,
                            uint32_t morsel_rows, bool compressed_scan,
                            bool filter_encoded_views);

@@ -4,16 +4,15 @@
 #include <utility>
 
 #include "src/client/blink_client.h"
-#include "src/coord/sql_render.h"
 #include "src/plan/query_plan.h"
 #include "src/plan/union_combiner.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
 
 namespace blink {
 
 std::string ScatterSql(const SelectStatement& stmt) {
   SelectStatement worker_stmt = stmt;
-  worker_stmt.bounds = QueryBounds{};
   UnionCombiner(stmt).PrepareSubquery(worker_stmt);
   return RenderSelect(worker_stmt);
 }

@@ -59,12 +59,12 @@ struct CoordinatorOptions {
   double final_deadline_seconds = 30.0;
 };
 
-// The SQL the coordinator scatters to every worker for `stmt`: bounds
-// stripped (the coordinator owns the joint stopping decision) plus the hidden
-// helper COUNT(*) the AVG recombination needs, rendered with bit-faithful
-// literals. Coordinator::Execute and the --selfcheck reference
-// (src/coord/selfcheck.h) both call it, so the reference re-parses exactly
-// the text the workers saw.
+// The SQL the coordinator scatters to every worker for `stmt`: the statement
+// plus the hidden helper COUNT(*) the AVG recombination needs, rendered by
+// RenderSelect with bit-faithful literals and without bounds (the
+// coordinator owns the joint stopping decision). Coordinator::Execute and
+// the --selfcheck reference (src/coord/selfcheck.h) both call it, so the
+// reference re-parses exactly the text the workers saw.
 std::string ScatterSql(const SelectStatement& stmt);
 
 class Coordinator {

@@ -7,6 +7,7 @@
 #include "src/plan/union_combiner.h"
 #include "src/server/protocol.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
 
 namespace blink {
 namespace {
@@ -88,7 +89,7 @@ std::string ResultFingerprint(const QueryResult& result) {
   std::string out;
   for (const auto& row : result.rows) {
     for (const auto& v : row.group_values) {
-      out += v.ToString();
+      out += RenderSqlValue(v);
       out += "|";
     }
     for (const auto& agg : row.aggregates) {

@@ -39,9 +39,9 @@ Result<QueryResult> RunShardedReference(const std::string& sql,
                                         const RuntimeConfig& runtime_config,
                                         uint64_t round_blocks);
 
-// Canonical %.17g rendering of an answer — group values, estimate values,
-// and variances — for exact cross-run comparison. Two results compare equal
-// iff they are bit-identical in every estimate.
+// Full-precision rendering of an answer — group values (RenderSqlValue),
+// estimate values and variances (%.17g) — for exact cross-run comparison.
+// Two results compare equal iff they are bit-identical in every estimate.
 std::string ResultFingerprint(const QueryResult& result);
 
 }  // namespace blink

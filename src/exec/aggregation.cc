@@ -82,20 +82,6 @@ bool EvalHaving(const Predicate& pred, const ResultRow& row,
   return false;
 }
 
-// Deterministic output order: lexicographic on group values.
-bool GroupValueLess(const std::vector<Value>& a, const std::vector<Value>& b) {
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    if (a[i] == b[i]) {
-      continue;
-    }
-    if (a[i].is_string() && b[i].is_string()) {
-      return a[i].AsString() < b[i].AsString();
-    }
-    return a[i].AsNumeric() < b[i].AsNumeric();
-  }
-  return a.size() < b.size();
-}
-
 // Quantile weight of one reservoir entry. Full scans reproduce the dataset's
 // per-row weight exactly; prefix scans re-derive the weight from the prefix's
 // per-stratum consumed counts.

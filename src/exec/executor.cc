@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/exec/aggregation.h"
@@ -18,6 +20,50 @@ using exec_internal::Finalize;
 using exec_internal::GroupMap;
 using exec_internal::GroupState;
 using exec_internal::StratumCell;
+
+namespace {
+
+// IEEE-754 totalOrder as an integer: negative doubles have their magnitude
+// bits flipped so larger magnitudes sort first. Two doubles share a key
+// exactly when they share a bit pattern.
+int64_t TotalOrderKey(double d) {
+  int64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits < 0 ? bits ^ std::numeric_limits<int64_t>::max() : bits;
+}
+
+}  // namespace
+
+bool GroupValueLess(const std::vector<Value>& a, const std::vector<Value>& b) {
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    const Value& x = a[i];
+    const Value& y = b[i];
+    if (x.type() != y.type()) {
+      return x.type() < y.type();
+    }
+    switch (x.type()) {
+      case DataType::kInt64:
+        if (x.AsInt() != y.AsInt()) {
+          return x.AsInt() < y.AsInt();
+        }
+        break;
+      case DataType::kDouble: {
+        const int64_t kx = TotalOrderKey(x.AsDouble());
+        const int64_t ky = TotalOrderKey(y.AsDouble());
+        if (kx != ky) {
+          return kx < ky;
+        }
+        break;
+      }
+      case DataType::kString:
+        if (x.AsString() != y.AsString()) {
+          return x.AsString() < y.AsString();
+        }
+        break;
+    }
+  }
+  return a.size() < b.size();
+}
 
 std::vector<Estimate> FlattenEstimates(const QueryResult& result) {
   std::vector<Estimate> flat;

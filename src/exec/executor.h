@@ -38,6 +38,15 @@ struct ResultRow {
   std::vector<Estimate> aggregates;
 };
 
+// The one group order: lexicographic over group values. A strict weak order
+// whose equivalence is the executor's group identity (Table::CellKey): ints
+// and strings compare by value, doubles by bit pattern — so -0.0 and 0.0 are
+// two groups, as are NaNs of different payloads — ordered as IEEE-754
+// totalOrder, which is < on every ordinary value. Values of different types
+// order int, double, string. Result rows come out sorted by it, and the
+// union combiner merges groups under it.
+bool GroupValueLess(const std::vector<Value>& a, const std::vector<Value>& b);
+
 // Scan-volume accounting, consumed by the cluster latency model. Volume is
 // tracked both in rows and in blocks: the latency model and the §4.4
 // intermediate-reuse logic charge whole blocks.

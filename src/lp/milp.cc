@@ -7,6 +7,11 @@
 namespace blink {
 namespace {
 
+// A binary whose relaxed value lies within this of 0 or 1 counts as decided.
+constexpr double kIntegralityTol = 1e-6;
+// Prune nodes whose LP bound is within this absolute gap of the incumbent.
+constexpr double kAbsoluteGap = 1e-9;
+
 // A node fixes a subset of the binary variables to 0 or 1.
 struct Node {
   std::vector<std::pair<size_t, int>> fixings;  // (var, value)
@@ -34,7 +39,7 @@ LpProblem ApplyFixings(const LpProblem& base, const std::vector<std::pair<size_t
 
 }  // namespace
 
-MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
+MilpSolution SolveMilp(const MilpProblem& problem) {
   MilpSolution best;
   best.status = MilpStatus::kInfeasible;
   best.objective = -std::numeric_limits<double>::infinity();
@@ -45,7 +50,7 @@ MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
   bool hit_node_limit = false;
 
   while (!stack.empty()) {
-    if (nodes >= options.max_nodes) {
+    if (nodes >= kMilpMaxNodes) {
       hit_node_limit = true;
       break;
     }
@@ -66,12 +71,12 @@ MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
     if (relax.status == LpStatus::kIterationLimit) {
       continue;
     }
-    if (relax.objective <= best.objective + options.absolute_gap) {
+    if (relax.objective <= best.objective + kAbsoluteGap) {
       continue;  // bound prune
     }
     // Branch on the most undecided binary (fraction closest to 0.5).
     size_t branch_var = problem.lp.num_vars;
-    double most_undecided = options.integrality_tol;
+    double most_undecided = kIntegralityTol;
     for (size_t v : problem.binary_vars) {
       const double x = relax.values[v];
       const double frac = x - std::floor(x);

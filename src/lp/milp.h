@@ -31,15 +31,12 @@ struct MilpSolution {
   uint64_t nodes_explored = 0;
 };
 
-struct MilpOptions {
-  uint64_t max_nodes = 200'000;
-  double integrality_tol = 1e-6;
-  // Prune nodes whose LP bound is within this absolute gap of the incumbent.
-  double absolute_gap = 1e-9;
-};
+// Branch-and-bound nodes SolveMilp explores before it gives up with
+// kNodeLimit (the sample selector then falls back to greedy).
+constexpr uint64_t kMilpMaxNodes = 100'000;
 
 // Depth-first best-incumbent branch-and-bound. Deterministic.
-MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options = {});
+MilpSolution SolveMilp(const MilpProblem& problem);
 
 }  // namespace blink
 

@@ -223,9 +223,7 @@ SelectionResult SelectSampleColumnSets(const std::vector<TemplateInfo>& template
     milp.lp.AddConstraint(std::move(churn));
   }
 
-  MilpOptions options;
-  options.max_nodes = config.milp_max_nodes;
-  const MilpSolution solution = SolveMilp(milp, options);
+  const MilpSolution solution = SolveMilp(milp);
   if (solution.status != MilpStatus::kOptimal) {
     // Infeasible churn constraints or node-limit: fall back to greedy.
     return SolveGreedy(templates, candidates, config, existing);

@@ -40,9 +40,8 @@ struct SelectionConfig {
   // Churn limit r in [0,1] for re-solves (constraint (5)); 1 = unrestricted.
   double churn_r = 1.0;
   // Solve exactly with branch-and-bound MILP; fall back to greedy when false
-  // or when the instance exceeds milp_max_nodes.
+  // or when the instance exceeds kMilpMaxNodes (src/lp/milp.h).
   bool use_milp = true;
-  uint64_t milp_max_nodes = 100'000;
 };
 
 struct SelectionResult {

@@ -34,10 +34,11 @@ std::vector<double> AttributeJointError(const UnionCombiner& combiner,
     return contributions;  // every error is zero: nothing dominates
   }
   const size_t agg = idx % num_aggs;
-  const std::string key = UnionCombiner::GroupKey(combined.rows[idx / num_aggs]);
+  const std::vector<Value>& group = combined.rows[idx / num_aggs].group_values;
   for (size_t i = 0; i < parts.size(); ++i) {
     for (const auto& row : parts[i]->rows) {
-      if (UnionCombiner::GroupKey(row) == key) {
+      if (!GroupValueLess(row.group_values, group) &&
+          !GroupValueLess(group, row.group_values)) {
         contributions[i] = combiner.CellContribution(row, agg);
         break;
       }

@@ -1,8 +1,6 @@
 #include "src/plan/union_combiner.h"
 
-#include <algorithm>
 #include <map>
-#include <string>
 #include <utility>
 
 namespace blink {
@@ -33,15 +31,6 @@ void UnionCombiner::PrepareSubquery(SelectStatement& sub) const {
   count_item.agg.func = AggFunc::kCount;
   count_item.alias = "__blink_count";
   sub.items.push_back(count_item);
-}
-
-std::string UnionCombiner::GroupKey(const ResultRow& row) {
-  std::string key;
-  for (const auto& v : row.group_values) {
-    key += v.ToString();
-    key += '\x1f';
-  }
-  return key;
 }
 
 double UnionCombiner::CellContribution(const ResultRow& row, size_t agg_idx) const {
@@ -76,22 +65,20 @@ QueryResult UnionCombiner::Combine(const std::vector<QueryResult>& partials,
 
 QueryResult UnionCombiner::Combine(const std::vector<const QueryResult*>& partials,
                                    double confidence) const {
-  // Merge groups across partial results. The map key is the rendered group
-  // tuple, so groups surfaced by different pipelines coalesce; the emitted
-  // rows are sorted by the same rendering, which fixes the output order
-  // independently of which pipeline saw a group first.
+  // Merge groups across partial results under the executor's group order,
+  // so groups surfaced by different pipelines coalesce exactly when one scan
+  // would have grouped them together, and the combined rows come out in the
+  // order a single pipeline's rows do, whichever pipeline saw a group first.
   struct Combined {
-    std::vector<Value> group_values;
     std::vector<Estimate> sums;        // per original aggregate: accumulated
     std::vector<double> weighted_num;  // for AVG: sum of value*count
     std::vector<double> total_count;   // for AVG: sum of counts
   };
-  std::map<std::string, Combined> merged;
+  std::map<std::vector<Value>, Combined, decltype(&GroupValueLess)> merged(&GroupValueLess);
   for (const QueryResult* partial : partials) {
     for (const auto& row : partial->rows) {
-      Combined& c = merged[GroupKey(row)];
+      Combined& c = merged[row.group_values];
       if (c.sums.empty()) {
-        c.group_values = row.group_values;
         c.sums.resize(agg_funcs_.size());
         c.weighted_num.assign(agg_funcs_.size(), 0.0);
         c.total_count.assign(agg_funcs_.size(), 0.0);
@@ -127,10 +114,9 @@ QueryResult UnionCombiner::Combine(const std::vector<const QueryResult*>& partia
                                   partials.front()->aggregate_names.begin() +
                                       static_cast<long>(agg_funcs_.size()));
   combined.confidence = confidence;
-  for (auto& [key, c] : merged) {
-    (void)key;
+  for (const auto& [group_values, c] : merged) {
     ResultRow row;
-    row.group_values = std::move(c.group_values);
+    row.group_values = group_values;
     for (size_t a = 0; a < agg_funcs_.size(); ++a) {
       Estimate est = c.sums[a];
       if (agg_funcs_[a] == AggFunc::kAvg) {
@@ -145,18 +131,6 @@ QueryResult UnionCombiner::Combine(const std::vector<const QueryResult*>& partia
     }
     combined.rows.push_back(std::move(row));
   }
-  std::sort(combined.rows.begin(), combined.rows.end(),
-            [](const ResultRow& a, const ResultRow& b) {
-              for (size_t i = 0; i < a.group_values.size() && i < b.group_values.size();
-                   ++i) {
-                const std::string sa = a.group_values[i].ToString();
-                const std::string sb = b.group_values[i].ToString();
-                if (sa != sb) {
-                  return sa < sb;
-                }
-              }
-              return false;
-            });
   return combined;
 }
 

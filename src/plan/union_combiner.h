@@ -13,7 +13,6 @@
 #define BLINKDB_PLAN_UNION_COMBINER_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "src/exec/executor.h"
@@ -34,18 +33,15 @@ class UnionCombiner {
 
   // Combines per-pipeline partial answers (one per disjunct, pipeline order).
   // `partials` must be non-empty and share the original statement's group and
-  // aggregate shape (plus the helper count when append_count()). The
-  // pointer form is what the plan driver uses: completed pipelines' frozen
-  // snapshots are combined by reference on every round, never re-copied.
+  // aggregate shape (plus the helper count when append_count()). Rows with
+  // equivalent group values (GroupValueLess) coalesce, and the combined rows
+  // come out in that order. The pointer form is what the plan driver uses:
+  // completed pipelines' frozen snapshots are combined by reference on every
+  // round, never re-copied.
   QueryResult Combine(const std::vector<const QueryResult*>& partials,
                       double confidence) const;
   QueryResult Combine(const std::vector<QueryResult>& partials,
                       double confidence) const;
-
-  // The rendered group-tuple key Combine merges rows under; two rows with the
-  // same key coalesce into one combined group. Exposed so the adaptive
-  // scheduler can look a combined group up in per-pipeline snapshots.
-  static std::string GroupKey(const ResultRow& row);
 
   // Variance `row` (one pipeline's partial for some group) contributes to the
   // combined estimate of original aggregate `agg_idx`, UNNORMALIZED: the

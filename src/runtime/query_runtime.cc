@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "src/sql/sql_render.h"
 #include "src/stats/stopping.h"
 #include "src/util/string_util.h"
 
@@ -162,7 +163,7 @@ void DedupDisjuncts(std::vector<Predicate>& disjuncts) {
   std::vector<Predicate> unique;
   unique.reserve(disjuncts.size());
   for (auto& d : disjuncts) {
-    if (seen.insert(d.CanonicalString()).second) {
+    if (seen.insert(RenderPredicate(d, RenderMode::kCanonical)).second) {
       unique.push_back(std::move(d));
     }
   }
@@ -321,8 +322,8 @@ Result<QueryRuntime::FamilyChoice> QueryRuntime::ChooseFamily(
   if (pool_ != nullptr && families.size() > 1) {
     // Fan probes out across families; each probe's scan stays serial (no
     // pool) because a pool task must not Wait() on its own pool.
-    ExecutionOptions serial;
-    serial.morsel_rows = config_.morsel_rows;
+    ExecutionOptions serial = ExecOpts();
+    serial.pool = nullptr;
     for (size_t f = 0; f < families.size(); ++f) {
       pool_->Submit([&, f] {
         probes[f] = RunProbe(stmt, *families[f], scale_factor, dim, serial);

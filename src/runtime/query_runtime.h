@@ -470,10 +470,10 @@ class QueryRuntime {
 // exceed `max_disjuncts`. Exposed for tests.
 std::optional<std::vector<Predicate>> ToDnf(const Predicate& pred, size_t max_disjuncts);
 
-// Removes duplicate disjuncts (by canonical rendering, so `x=1 AND y=2`
-// equals `y=2 AND x=1`), keeping first occurrences in order. Duplicates —
-// e.g. from `x = 1 OR x = 1` — would double-count the union. Exposed for
-// tests.
+// Removes duplicate disjuncts (by RenderPredicate's kCanonical rendering, so
+// `x=1 AND y=2` equals `y=2 AND x=1`), keeping first occurrences in order.
+// Duplicates — e.g. from `x = 1 OR x = 1` — would double-count the union.
+// Exposed for tests.
 void DedupDisjuncts(std::vector<Predicate>& disjuncts);
 
 // The error metric ExecutionReport::achieved_error reports: the max over

@@ -1,7 +1,6 @@
 #include "src/sample/leveled_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <utility>
 
@@ -34,22 +33,7 @@ LeveledStore::LeveledStore(Schema schema, std::vector<FamilyShape> shapes,
     : schema_(std::move(schema)),
       shapes_(std::move(shapes)),
       options_(std::move(options)),
-      on_publish_(std::move(on_publish)) {
-  if (options_.background_interval_ms > 0) {
-    background_ = std::thread([this] { BackgroundLoop(); });
-  }
-}
-
-LeveledStore::~LeveledStore() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      stop_background_ = true;
-    }
-    background_cv_.notify_all();
-    background_.join();
-  }
-}
+      on_publish_(std::move(on_publish)) {}
 
 Result<uint64_t> LeveledStore::Append(Table rows) {
   if (!(rows.schema() == schema_)) {
@@ -77,13 +61,6 @@ Result<uint64_t> LeveledStore::Append(Table rows) {
     if (on_publish_) {
       on_publish_();
     }
-  }
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      work_hint_ = true;
-    }
-    background_cv_.notify_all();
   }
   return published;
 }
@@ -241,29 +218,6 @@ Result<bool> LeveledStore::MaintenanceTick() {
     }
   }
   return true;
-}
-
-void LeveledStore::BackgroundLoop() {
-  std::unique_lock<std::mutex> lock(background_mu_);
-  while (!stop_background_) {
-    background_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.background_interval_ms),
-        [this] { return stop_background_ || work_hint_; });
-    if (stop_background_) {
-      return;
-    }
-    work_hint_ = false;
-    lock.unlock();
-    // Drain all due merges; errors leave the manifest unchanged and are
-    // retried on the next wakeup.
-    while (true) {
-      auto progressed = MaintenanceTick();
-      if (!progressed.ok() || !*progressed) {
-        break;
-      }
-    }
-    lock.lock();
-  }
 }
 
 }  // namespace blink

@@ -5,11 +5,12 @@
 // Appends land as immutable level-0 runs. An L0 run is itself a valid newest
 // stratum: it is scanned exactly (weight 1, zero variance), so it is a
 // trivially valid sample prefix by construction — block-aligned because each
-// run is its own morsel-carved scan range. Background merges compact the
-// oldest runs of an over-full level into one run at the next level and — once
-// a run is large enough to be worth sampling — rebuild block-aligned sample
-// families over it that mirror the base table's family shapes (reusing the
-// §4.5 RebuildFamily machinery via BuildFamilyLike).
+// run is its own morsel-carved scan range. Merges (MaintenanceTick, driven by
+// the owner — the server ticks once after every append, so the writer pays)
+// compact the oldest runs of an over-full level into one run at the next
+// level and — once a run is large enough to be worth sampling — rebuild
+// block-aligned sample families over it that mirror the base table's family
+// shapes (reusing the §4.5 RebuildFamily machinery via BuildFamilyLike).
 //
 // Queries union the levels as extra plan pipelines (QueryRuntime::
 // ExecuteLeveled): the base table's sample plus one pipeline per run, all
@@ -27,14 +28,12 @@
 #ifndef BLINKDB_SAMPLE_LEVELED_STORE_H_
 #define BLINKDB_SAMPLE_LEVELED_STORE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sample/maintenance.h"
@@ -66,10 +65,6 @@ struct LeveledStoreOptions {
   // storage before publication — the sticky-compression contract of
   // BlinkDB::CompressStorage extended to the write path.
   std::optional<BlockEncodeOptions> encode;
-  // Nonzero starts a background thread that drains MaintenanceTick every
-  // interval and after every append. Zero = the caller drives ticks
-  // (deterministic mode, what the tests use).
-  int background_interval_ms = 0;
 };
 
 class LeveledStore {
@@ -98,7 +93,6 @@ class LeveledStore {
   LeveledStore(Schema schema, std::vector<FamilyShape> shapes,
                LeveledStoreOptions options,
                std::function<void()> on_publish = {});
-  ~LeveledStore();
 
   LeveledStore(const LeveledStore&) = delete;
   LeveledStore& operator=(const LeveledStore&) = delete;
@@ -135,7 +129,6 @@ class LeveledStore {
   Result<std::shared_ptr<const Run>> BuildMergedRun(
       const std::vector<std::shared_ptr<const Run>>& inputs, uint64_t out_id,
       int out_level) const;
-  void BackgroundLoop();
 
   const Schema schema_;
   const std::vector<FamilyShape> shapes_;
@@ -148,13 +141,6 @@ class LeveledStore {
   uint64_t version_ = 0;
 
   std::mutex merge_mu_;                 // serializes mergers (ticks)
-
-  // Background maintenance thread (options_.background_interval_ms > 0).
-  std::thread background_;
-  std::condition_variable background_cv_;
-  std::mutex background_mu_;
-  bool stop_background_ = false;
-  bool work_hint_ = false;  // an append landed since the last tick
 };
 
 }  // namespace blink

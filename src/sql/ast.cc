@@ -89,54 +89,6 @@ bool Predicate::IsConjunctive() const {
   return true;
 }
 
-std::string Predicate::ToString() const {
-  switch (kind) {
-    case Kind::kCompare:
-      return column + " " + CompareOpName(op) + " " + literal.ToString();
-    case Kind::kAnd:
-    case Kind::kOr: {
-      const char* sep = kind == Kind::kAnd ? " AND " : " OR ";
-      std::string out = "(";
-      for (size_t i = 0; i < children.size(); ++i) {
-        if (i > 0) {
-          out += sep;
-        }
-        out += children[i].ToString();
-      }
-      out += ")";
-      return out;
-    }
-  }
-  return "?";
-}
-
-std::string Predicate::CanonicalString() const {
-  switch (kind) {
-    case Kind::kCompare:
-      return column + " " + CompareOpName(op) + " " + literal.ToString();
-    case Kind::kAnd:
-    case Kind::kOr: {
-      std::vector<std::string> parts;
-      parts.reserve(children.size());
-      for (const auto& child : children) {
-        parts.push_back(child.CanonicalString());
-      }
-      std::sort(parts.begin(), parts.end());
-      const char* sep = kind == Kind::kAnd ? " AND " : " OR ";
-      std::string out = "(";
-      for (size_t i = 0; i < parts.size(); ++i) {
-        if (i > 0) {
-          out += sep;
-        }
-        out += parts[i];
-      }
-      out += ")";
-      return out;
-    }
-  }
-  return "?";
-}
-
 std::vector<std::string> SelectStatement::TemplateColumns() const {
   std::vector<std::string> cols;
   if (where.has_value()) {
@@ -153,66 +105,6 @@ std::vector<std::string> SelectStatement::TemplateColumns() const {
   }
   std::sort(cols.begin(), cols.end());
   return cols;
-}
-
-std::string SelectStatement::ToString() const {
-  std::string out = "SELECT ";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    const auto& item = items[i];
-    if (item.is_aggregate) {
-      out += AggFuncName(item.agg.func);
-      out += "(";
-      if (item.agg.count_star) {
-        out += "*";
-      } else {
-        out += item.agg.column;
-        if (item.agg.func == AggFunc::kQuantile) {
-          out += ", " + std::to_string(item.agg.quantile_p);
-        }
-      }
-      out += ")";
-    } else {
-      out += item.column;
-    }
-    if (!item.alias.empty()) {
-      out += " AS " + item.alias;
-    }
-  }
-  out += " FROM " + table;
-  if (join.has_value()) {
-    out += " JOIN " + join->table + " ON " + join->left_column + " = " + join->right_column;
-  }
-  if (where.has_value()) {
-    out += " WHERE " + where->ToString();
-  }
-  if (!group_by.empty()) {
-    out += " GROUP BY ";
-    for (size_t i = 0; i < group_by.size(); ++i) {
-      if (i > 0) {
-        out += ", ";
-      }
-      out += group_by[i];
-    }
-  }
-  if (having.has_value()) {
-    out += " HAVING " + having->ToString();
-  }
-  switch (bounds.kind) {
-    case QueryBounds::Kind::kNone:
-      break;
-    case QueryBounds::Kind::kError:
-      out += " ERROR WITHIN " + std::to_string(bounds.error * (bounds.relative ? 100.0 : 1.0)) +
-             (bounds.relative ? "%" : "") + " AT CONFIDENCE " +
-             std::to_string(bounds.confidence * 100.0) + "%";
-      break;
-    case QueryBounds::Kind::kTime:
-      out += " WITHIN " + std::to_string(bounds.time_seconds) + " SECONDS";
-      break;
-  }
-  return out;
 }
 
 }  // namespace blink

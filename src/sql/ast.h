@@ -58,15 +58,6 @@ struct Predicate {
 
   // True if no kOr node appears anywhere in the tree.
   bool IsConjunctive() const;
-
-  std::string ToString() const;
-
-  // Order-insensitive rendering: AND/OR children are rendered recursively
-  // and sorted, so `x = 1 AND y = 2` and `y = 2 AND x = 1` canonicalize to
-  // the same string. The runtime uses this to deduplicate DNF disjuncts —
-  // duplicated predicates (e.g. `x = 1 OR x = 1`) would otherwise
-  // double-count a §4.1.2 union.
-  std::string CanonicalString() const;
 };
 
 // JOIN <table> ON <left.col> = <right.col> (single equi-join; §2.1 allows
@@ -115,8 +106,6 @@ struct SelectStatement {
   // appearing in WHERE, GROUP BY, and HAVING clauses, deduplicated and
   // lower-cased. HAVING columns count as WHERE columns (paper footnote 5).
   std::vector<std::string> TemplateColumns() const;
-
-  std::string ToString() const;
 };
 
 }  // namespace blink

@@ -29,20 +29,26 @@ std::vector<BlockCodec> CandidatesFor(DataType type) {
   return {};
 }
 
+// How many evenly-spaced blocks each candidate codec trial-encodes when
+// picking a column's codec.
+constexpr size_t kTrialBlocks = 16;
+
+// Minimum fraction of raw size a codec must shave off in trials to win the
+// column; below it the column stays raw. Decode is never free, and a raw
+// column serves single-block morsels zero-copy, so a 1.05× "win" is a loss.
+constexpr double kMinSaving = 0.10;
+
 // Evenly-spread sample of block indices for codec trials.
-std::vector<size_t> TrialBlocks(size_t num_blocks, size_t want) {
+std::vector<size_t> TrialBlocks(size_t num_blocks) {
   std::vector<size_t> picks;
-  if (num_blocks == 0 || want == 0) {
-    return picks;
-  }
-  if (num_blocks <= want) {
+  if (num_blocks <= kTrialBlocks) {
     for (size_t i = 0; i < num_blocks; ++i) {
       picks.push_back(i);
     }
     return picks;
   }
-  for (size_t i = 0; i < want; ++i) {
-    picks.push_back(i * num_blocks / want);
+  for (size_t i = 0; i < kTrialBlocks; ++i) {
+    picks.push_back(i * num_blocks / kTrialBlocks);
   }
   return picks;
 }
@@ -55,8 +61,7 @@ std::vector<size_t> TrialBlocks(size_t num_blocks, size_t want) {
 template <typename T, typename EncodeFn, typename DecodeFn>
 static void EncodeColumnBlocks(const T* raw, const std::vector<Morsel>& blocks,
                                const std::vector<BlockCodec>& candidates,
-                               const BlockEncodeOptions& options, EncodeFn encode,
-                               DecodeFn decode, uint64_t total_rows,
+                               EncodeFn encode, DecodeFn decode, uint64_t total_rows,
                                std::string& data, std::vector<uint64_t>& offsets,
                                ColumnCodecStats& stats) {
   stats.raw_bytes = total_rows * sizeof(T);
@@ -75,12 +80,11 @@ static void EncodeColumnBlocks(const T* raw, const std::vector<Morsel>& blocks,
   };
 
   // Trial: encode a spread of blocks with each candidate; the smallest wins
-  // the column, but only if it shaves at least `min_saving` off raw storage —
+  // the column, but only if it shaves at least kMinSaving off raw storage —
   // decode cost makes a marginal ratio a net loss.
   BlockCodec best = BlockCodec::kRaw;
   size_t best_size = SIZE_MAX;
-  const std::vector<size_t> picks =
-      TrialBlocks(blocks.size(), options.trial_blocks);
+  const std::vector<size_t> picks = TrialBlocks(blocks.size());
   uint64_t trial_rows = 0;
   for (size_t b : picks) {
     trial_rows += blocks[b].rows();
@@ -98,8 +102,7 @@ static void EncodeColumnBlocks(const T* raw, const std::vector<Morsel>& blocks,
   }
   const double trial_raw_bytes =
       static_cast<double>(trial_rows) * sizeof(T) + picks.size();
-  if (static_cast<double>(best_size) >
-      trial_raw_bytes * (1.0 - options.min_saving)) {
+  if (static_cast<double>(best_size) > trial_raw_bytes * (1.0 - kMinSaving)) {
     best = BlockCodec::kRaw;
   }
 
@@ -159,22 +162,16 @@ Result<std::shared_ptr<const EncodedTable>> EncodedTable::Encode(
     const std::vector<BlockCodec> candidates = CandidatesFor(ec.type);
     switch (ec.type) {
       case DataType::kInt64:
-        EncodeColumnBlocks(table.IntData(col), plan.morsels, candidates,
-                           options, EncodeBlockInt64,
-                           DecodeBlockInt64, table.num_rows(), ec.data,
-                           ec.offsets, ec.stats);
+        EncodeColumnBlocks(table.IntData(col), plan.morsels, candidates, EncodeBlockInt64,
+                           DecodeBlockInt64, table.num_rows(), ec.data, ec.offsets, ec.stats);
         break;
       case DataType::kDouble:
-        EncodeColumnBlocks(table.DoubleData(col), plan.morsels, candidates,
-                           options, EncodeBlockDouble,
-                           DecodeBlockDouble, table.num_rows(), ec.data,
-                           ec.offsets, ec.stats);
+        EncodeColumnBlocks(table.DoubleData(col), plan.morsels, candidates, EncodeBlockDouble,
+                           DecodeBlockDouble, table.num_rows(), ec.data, ec.offsets, ec.stats);
         break;
       case DataType::kString:
-        EncodeColumnBlocks(table.CodeData(col), plan.morsels, candidates,
-                           options, EncodeBlockCodes,
-                           DecodeBlockCodes, table.num_rows(), ec.data,
-                           ec.offsets, ec.stats);
+        EncodeColumnBlocks(table.CodeData(col), plan.morsels, candidates, EncodeBlockCodes,
+                           DecodeBlockCodes, table.num_rows(), ec.data, ec.offsets, ec.stats);
         break;
     }
   }

@@ -37,13 +37,6 @@ struct BlockEncodeOptions {
   // zero-copy-per-morsel fast path; other sizes still work (a morsel that
   // straddles blocks decodes the covering block range).
   uint32_t block_rows = 4096;  // == kDefaultMorselRows
-  // How many evenly-spaced blocks each candidate codec trial-encodes when
-  // picking a column's codec.
-  size_t trial_blocks = 16;
-  // Minimum fraction of raw size a codec must shave off in trials to win the
-  // column; below it the column stays raw. Decode is never free, and a raw
-  // column serves single-block morsels zero-copy, so a 1.05× "win" is a loss.
-  double min_saving = 0.10;
 };
 
 // What the catalog records about one encoded column.

@@ -25,6 +25,7 @@
 #include "src/cache/answer_cache.h"
 #include "src/exec/predicate.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
 #include "src/util/rng.h"
 #include "src/workload/conviva.h"
 #include "tests/query_gen.h"
@@ -66,6 +67,9 @@ TEST(AnswerCacheKeyTest, AnswerShapeAndScanDecompositionAreIncluded) {
   EXPECT_NE(KeyOf("SELECT s, COUNT(*) FROM t WHERE a = 3 GROUP BY s"), key);
   EXPECT_NE(KeyOf("SELECT COUNT(*) FROM t WHERE a = 4"), key);
   EXPECT_NE(KeyOf("SELECT COUNT(*) FROM u WHERE a = 3"), key);
+  // Literals are keyed exactly: doubles that differ past the sixth decimal.
+  EXPECT_NE(KeyOf("SELECT COUNT(*) FROM t WHERE v <= 1000.0000001"),
+            KeyOf("SELECT COUNT(*) FROM t WHERE v <= 1000.0000004"));
   // Different scan decomposition: generation, morsel size, storage path.
   EXPECT_NE(KeyOf(base, /*generation=*/8), key);
   EXPECT_NE(KeyOf(base, 7, /*morsel_rows=*/1024), key);
@@ -171,6 +175,10 @@ Predicate ShuffleChildren(const Predicate& pred, Rng& rng) {
   return out;
 }
 
+std::string Canonical(const Predicate& pred) {
+  return RenderPredicate(pred, RenderMode::kCanonical);
+}
+
 // Row-by-row truth table of `pred` over `fact` — the semantic identity of
 // the predicate on this table.
 std::string Signature(const Predicate& pred, const Table& fact) {
@@ -194,7 +202,7 @@ TEST(CanonicalPredicateTest, EqualModuloOrderCanonicalizesIdentically) {
     const SelectStatement stmt = MustParse(sql);
     ASSERT_TRUE(stmt.where.has_value()) << sql;
     const Predicate shuffled = ShuffleChildren(*stmt.where, rng);
-    EXPECT_EQ(shuffled.CanonicalString(), stmt.where->CanonicalString()) << sql;
+    EXPECT_EQ(Canonical(shuffled), Canonical(*stmt.where)) << sql;
     // Sanity: the shuffle really did preserve semantics.
     EXPECT_EQ(Signature(shuffled, fact), Signature(*stmt.where, fact)) << sql;
   }
@@ -208,12 +216,20 @@ TEST(CanonicalPredicateTest, DistinctSemanticsNeverCollide) {
   Rng rng(314'159);
   std::map<std::string, std::pair<std::string, std::string>> by_canonical;
   int collisions = 0;
+  // Seeded pairs first: one quoted string literal that spells the other
+  // predicate's last two disjuncts, and doubles that differ only past the
+  // sixth decimal — both once rendered alike.
+  std::vector<std::string> predicates = {
+      "a = 3 OR s = 's_1' OR s = 's_2'", "s = 's_1'' OR s = ''s_2' OR a = 3",
+      "v <= 50.0000001", "v <= 50.0000004"};
   for (int i = 0; i < 400; ++i) {
-    const std::string predicate_sql = testgen::RandomPredicate(rng, 4);
+    predicates.push_back(testgen::RandomPredicate(rng, 4));
+  }
+  for (const std::string& predicate_sql : predicates) {
     const SelectStatement stmt =
         MustParse("SELECT COUNT(*) FROM t WHERE " + predicate_sql);
     ASSERT_TRUE(stmt.where.has_value()) << predicate_sql;
-    const std::string canonical = stmt.where->CanonicalString();
+    const std::string canonical = Canonical(*stmt.where);
     const std::string signature = Signature(*stmt.where, fact);
     auto [it, inserted] =
         by_canonical.emplace(canonical, std::make_pair(signature, predicate_sql));
@@ -224,14 +240,19 @@ TEST(CanonicalPredicateTest, DistinctSemanticsNeverCollide) {
           << it->second.second << "\n  " << predicate_sql;
     }
   }
-  // Distinct leaves must not collapse: spot-check obvious near-misses.
-  EXPECT_NE(MustParse("SELECT COUNT(*) FROM t WHERE a = 1").where->CanonicalString(),
-            MustParse("SELECT COUNT(*) FROM t WHERE a = 2").where->CanonicalString());
-  EXPECT_NE(MustParse("SELECT COUNT(*) FROM t WHERE a = 1").where->CanonicalString(),
-            MustParse("SELECT COUNT(*) FROM t WHERE a != 1").where->CanonicalString());
-  EXPECT_NE(
-      MustParse("SELECT COUNT(*) FROM t WHERE a = 1 AND v < 2").where->CanonicalString(),
-      MustParse("SELECT COUNT(*) FROM t WHERE a = 1 OR v < 2").where->CanonicalString());
+  // Distinct leaves must not collapse: spot-check obvious near-misses, and
+  // the seeded pairs (the decimal pair selects the same rows of this table,
+  // so the collision check above cannot see it).
+  const auto canonical_where = [](const std::string& where) {
+    return Canonical(*MustParse("SELECT COUNT(*) FROM t WHERE " + where).where);
+  };
+  EXPECT_NE(canonical_where("a = 1"), canonical_where("a = 2"));
+  EXPECT_NE(canonical_where("a = 1"), canonical_where("a != 1"));
+  EXPECT_NE(canonical_where("a = 1 AND v < 2"), canonical_where("a = 1 OR v < 2"));
+  for (size_t i = 0; i < 4; i += 2) {
+    EXPECT_NE(canonical_where(predicates[i]), canonical_where(predicates[i + 1]))
+        << predicates[i];
+  }
 }
 
 // --- Catalog generations -----------------------------------------------------

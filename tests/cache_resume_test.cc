@@ -18,6 +18,9 @@
 //      cache never perturbs execution, it only remembers it.
 //  (d) Generation invalidation: mutating the table (catalog generation bump)
 //      turns what would be a stale hit into a cold re-execution.
+//  (e) Exact literals: a statement whose literals merely print like a cached
+//      statement's (a quoted string that spells two conjuncts, doubles that
+//      differ past the sixth decimal) misses and answers as a cold run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,6 +32,7 @@
 #include "src/sample/sample_family.h"
 #include "src/sample/sample_store.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
 #include "src/util/rng.h"
 #include "tests/query_gen.h"
 
@@ -121,7 +125,7 @@ TEST(CacheResumeTest, ResumeFromAnyPrefixMatchesColdRunBitExactly) {
       for (uint32_t morsel_rows : {64u, 1024u, 4096u}) {
         const RuntimeConfig config = StreamingConfig(threads, morsel_rows);
         AnswerCache cache;
-        const CacheContext ctx{&cache, /*table_generation=*/1};
+        const CacheContext ctx{&cache, /*table_generation=*/1, /*key_suffix=*/""};
         const std::string context_base = std::string(base) +
                                          " [threads=" + std::to_string(threads) +
                                          " morsel=" + std::to_string(morsel_rows) + "]";
@@ -194,8 +198,8 @@ TEST(CacheResumeTest, ColdRunWithCacheReproducesCacheFreeTraceExactly) {
     const ApproxAnswer bare = fx.MustExecute(stmt, config);
     AnswerCache cache;
     const ApproxAnswer observed =
-        fx.MustExecute(stmt, config, CacheContext{&cache, 1});
-    const std::string context = stmt.ToString();
+        fx.MustExecute(stmt, config, CacheContext{&cache, 1, ""});
+    const std::string context = RenderSelect(stmt);
     ExpectIdentical(observed.result, bare.result, context);
     EXPECT_EQ(observed.report.cache, "miss") << context;
     ASSERT_EQ(observed.report.pipeline_outcomes.size(),
@@ -222,24 +226,50 @@ TEST(CacheResumeTest, GenerationBumpInvalidatesCachedAnswers) {
   AnswerCache cache;
   const SelectStatement stmt = Bounded(kQueries[0], 0.05);
 
-  const ApproxAnswer first = fx.MustExecute(stmt, config, CacheContext{&cache, 1});
+  const ApproxAnswer first = fx.MustExecute(stmt, config, CacheContext{&cache, 1, ""});
   EXPECT_EQ(first.report.cache, "miss");
-  const ApproxAnswer again = fx.MustExecute(stmt, config, CacheContext{&cache, 1});
+  const ApproxAnswer again = fx.MustExecute(stmt, config, CacheContext{&cache, 1, ""});
   EXPECT_EQ(again.report.cache, "hit");
 
   // The mutation path (ReplaceTable / BuildSamples / CompressStorage /
   // AppendAndMaintain) bumps the catalog generation; the old snapshot's key
   // no longer matches, so the query re-executes cold instead of serving a
   // stale answer.
-  const ApproxAnswer stale = fx.MustExecute(stmt, config, CacheContext{&cache, 2});
+  const ApproxAnswer stale = fx.MustExecute(stmt, config, CacheContext{&cache, 2, ""});
   EXPECT_EQ(stale.report.cache, "miss");
   EXPECT_GT(stale.report.blocks_consumed, 0u);
   // And the new generation caches independently.
-  const ApproxAnswer warm = fx.MustExecute(stmt, config, CacheContext{&cache, 2});
+  const ApproxAnswer warm = fx.MustExecute(stmt, config, CacheContext{&cache, 2, ""});
   EXPECT_EQ(warm.report.cache, "hit");
   const AnswerCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
+}
+
+// --- (e): literals reach the key exactly --------------------------------------
+
+TEST(CacheResumeTest, LookalikeLiteralsMissAndAnswerCold) {
+  const Fixture fx;
+  const RuntimeConfig config = StreamingConfig(2, 512);
+  // Each pair: the first statement is cached, then the second is asked. In
+  // the first pair the asked statement's string literal `s_2' AND s = 's_1`
+  // matches no row, so it keeps every a < 5 row the cached one filters out.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"SELECT COUNT(*) FROM t WHERE a < 5 AND s = 's_1' AND s != 's_2'",
+       "SELECT COUNT(*) FROM t WHERE a < 5 AND s != 's_2'' AND s = ''s_1'"},
+      {"SELECT COUNT(*) FROM t WHERE v <= 50.0000001",
+       "SELECT COUNT(*) FROM t WHERE v <= 50.0000004"},
+  };
+  for (const auto& [cached_sql, asked_sql] : pairs) {
+    AnswerCache cache;
+    const SelectStatement cached = Bounded(cached_sql, 0.5);
+    const SelectStatement asked = Bounded(asked_sql, 0.5);
+    EXPECT_EQ(fx.MustExecute(cached, config, CacheContext{&cache, 1, ""}).report.cache,
+              "miss");
+    const ApproxAnswer answer = fx.MustExecute(asked, config, CacheContext{&cache, 1, ""});
+    EXPECT_EQ(answer.report.cache, "miss") << asked_sql;
+    ExpectIdentical(answer.result, fx.MustExecute(asked, config).result, asked_sql);
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "src/sample/sample_family.h"
 #include "src/sample/sample_store.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
 #include "src/storage/encoded_table.h"
 #include "src/util/rng.h"
 
@@ -258,24 +259,48 @@ TEST(UnionCombinerTest, DisjointGroupsUnionAndSortDeterministically) {
   auto stmt = ParseSelect("SELECT s, COUNT(*) FROM t WHERE a = 1 OR a = 2 GROUP BY s");
   ASSERT_TRUE(stmt.ok());
   UnionCombiner combiner(*stmt);
-  auto row = [](const char* g, double count) {
+  auto row = [](Value g, double count) {
     QueryResult r;
     r.group_names = {"s"};
     r.aggregate_names = {"COUNT(*)"};
     ResultRow rr;
-    rr.group_values.push_back(Value(std::string(g)));
+    rr.group_values.push_back(std::move(g));
     rr.aggregates.push_back({count, 1.0});
     r.rows.push_back(std::move(rr));
     return r;
   };
   // Pipeline 1 sees group "b", pipeline 2 sees "a": the union holds both,
   // sorted, regardless of which pipeline surfaced a group first.
-  const QueryResult combined = combiner.Combine({row("b", 5.0), row("a", 3.0)}, 0.95);
+  const QueryResult combined =
+      combiner.Combine({row(Value("b"), 5.0), row(Value("a"), 3.0)}, 0.95);
   ASSERT_EQ(combined.rows.size(), 2u);
   EXPECT_EQ(combined.rows[0].group_values[0].AsString(), "a");
   EXPECT_EQ(combined.rows[1].group_values[0].AsString(), "b");
   EXPECT_DOUBLE_EQ(combined.rows[0].aggregates[0].value, 3.0);
   EXPECT_DOUBLE_EQ(combined.rows[1].aggregates[0].value, 5.0);
+
+  // Groups merge and order as the executor's: ints by value (2 before 10),
+  // doubles by bit pattern (1.0000001 and 1.0000002 are two groups, and so
+  // are -0.0 and 0.0), whichever pipeline surfaced a group first.
+  const QueryResult ints = combiner.Combine(
+      {row(Value(int64_t{10}), 1.0), row(Value(int64_t{2}), 2.0), row(Value(int64_t{10}), 4.0)},
+      0.95);
+  ASSERT_EQ(ints.rows.size(), 2u);
+  EXPECT_EQ(ints.rows[0].group_values[0], Value(int64_t{2}));
+  EXPECT_EQ(ints.rows[1].group_values[0], Value(int64_t{10}));
+  EXPECT_DOUBLE_EQ(ints.rows[1].aggregates[0].value, 5.0);
+  const QueryResult doubles = combiner.Combine(
+      {row(Value(1.0000002), 1.0), row(Value(0.0), 2.0), row(Value(1.0000001), 4.0),
+       row(Value(-0.0), 8.0), row(Value(1.0000002), 16.0)},
+      0.95);
+  const double want[] = {-0.0, 0.0, 1.0000001, 1.0000002};
+  ASSERT_EQ(doubles.rows.size(), 4u);
+  for (size_t r = 0; r < 4; ++r) {
+    // The renderer is exact, so equal text is equal bits (-0 and 0 differ).
+    EXPECT_EQ(RenderSqlValue(doubles.rows[r].group_values[0]), RenderSqlValue(Value(want[r])))
+        << r;
+  }
+  EXPECT_DOUBLE_EQ(doubles.rows[3].aggregates[0].value, 17.0);
 }
 
 // --- Disjunct dedup + rewrite fallback ---------------------------------------
@@ -291,7 +316,15 @@ TEST(DedupDisjunctsTest, RemovesExactAndPermutedDuplicates) {
   DedupDisjuncts(*dnf);
   ASSERT_EQ(dnf->size(), 2u);  // {a=1 AND s='x'}, {a=2}
   EXPECT_TRUE((*dnf)[0].IsConjunctive());
-  EXPECT_EQ((*dnf)[1].ToString(), "a = 2");
+  EXPECT_EQ(RenderPredicate((*dnf)[1], RenderMode::kFaithful), "a = 2");
+
+  // Disjuncts that differ only past the sixth decimal are both kept.
+  auto near = ParseSelect("SELECT COUNT(*) FROM t WHERE v <= 1.0000001 OR v <= 1.0000004");
+  ASSERT_TRUE(near.ok());
+  auto near_dnf = ToDnf(*near->where, 16);
+  ASSERT_TRUE(near_dnf.has_value());
+  DedupDisjuncts(*near_dnf);
+  EXPECT_EQ(near_dnf->size(), 2u);
 }
 
 struct RuntimeFixture {

@@ -220,6 +220,48 @@ TEST(RuntimeTest, StreamedPartialFramesAgreeWithProgressBytes) {
   }
 }
 
+TEST(RuntimeTest, ParallelProbesScanTheConfiguredStorage) {
+  // os is covered by no family, so §4.1.1 probes both families: on the
+  // caller's thread at 1 thread, fanned out over the pool at 2. Both must
+  // scan the storage the config asks for, so forcing raw storage gives the
+  // same answers and the same accounting at either width. The time-bounded
+  // query is answered by the winning probe itself (§4.4), so the probe's own
+  // bytes reach the answer.
+  Fixture fx;
+  BlockEncodeOptions encode;
+  for (SampleFamily* family : fx.store.MutableFamiliesFor("sessions")) {
+    ASSERT_TRUE(family->EncodeBlocks(encode).ok());
+  }
+  ASSERT_TRUE(fx.fact.BuildEncoded(encode).ok());
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM sessions WHERE os = 'ios'",
+        "SELECT COUNT(*) FROM sessions WHERE os = 'ios' WITHIN 1 SECONDS",
+        "SELECT os, AVG(sessiontime) FROM sessions WHERE sessiontime > 900 GROUP BY os "
+        "ERROR WITHIN 5% AT CONFIDENCE 95%"}) {
+    RuntimeConfig config;
+    config.compressed_scan = false;
+    config.exec_threads = 1;
+    const ApproxAnswer serial = fx.MustExecute(sql, config);
+    config.exec_threads = 2;
+    const ApproxAnswer fanned = fx.MustExecute(sql, config);
+    EXPECT_EQ(fanned.report.family, serial.report.family) << sql;
+    EXPECT_EQ(fanned.report.bytes_scanned, serial.report.bytes_scanned) << sql;
+    EXPECT_EQ(fanned.report.bytes_decoded, serial.report.bytes_decoded) << sql;
+    EXPECT_EQ(fanned.report.total_latency, serial.report.total_latency) << sql;
+    EXPECT_EQ(fanned.result.stats.bytes_scanned, serial.result.stats.bytes_scanned) << sql;
+    ASSERT_EQ(fanned.result.rows.size(), serial.result.rows.size()) << sql;
+    for (size_t r = 0; r < serial.result.rows.size(); ++r) {
+      const auto& want = serial.result.rows[r].aggregates;
+      const auto& got = fanned.result.rows[r].aggregates;
+      ASSERT_EQ(got.size(), want.size()) << sql;
+      for (size_t a = 0; a < want.size(); ++a) {
+        EXPECT_EQ(got[a].value, want[a].value) << sql;
+        EXPECT_EQ(got[a].variance, want[a].variance) << sql;
+      }
+    }
+  }
+}
+
 TEST(RuntimeTest, ElpIsMonotone) {
   Fixture fx;
   const auto answer = fx.MustExecute(

@@ -3,6 +3,8 @@
 #include "src/sql/analyzer.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
+#include "src/sql/sql_render.h"
+#include "tests/query_gen.h"
 
 namespace blink {
 namespace {
@@ -256,16 +258,71 @@ TEST(ParserTest, TemplateColumnsDeduplicated) {
   EXPECT_EQ(stmt->TemplateColumns().size(), 1u);
 }
 
-TEST(ParserTest, RoundTripToString) {
+// --- Renderer -----------------------------------------------------------------
+
+// Same tree with exact literals. Numbers compare as the doubles the predicate
+// evaluator reads: an integral double re-parses as an int.
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  if (a.kind != b.kind || a.children.size() != b.children.size()) {
+    return false;
+  }
+  if (a.kind == Predicate::Kind::kCompare) {
+    if (a.column != b.column || a.op != b.op ||
+        a.literal.is_string() != b.literal.is_string()) {
+      return false;
+    }
+    return a.literal.is_string() ? a.literal.AsString() == b.literal.AsString()
+                                 : a.literal.AsNumeric() == b.literal.AsNumeric();
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (!SamePredicate(a.children[i], b.children[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RenderTest, RenderParseRenderIsAFixedPointWithExactLiterals) {
+  Rng rng(20'130'415);
+  for (int i = 0; i < 500; ++i) {
+    const std::string sql = testgen::RandomQuery(rng, /*allow_quantile=*/true);
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+    for (RenderMode mode : {RenderMode::kFaithful, RenderMode::kCanonical}) {
+      const std::string rendered = RenderSelect(*stmt, mode);
+      auto reparsed = ParseSelect(rendered);
+      ASSERT_TRUE(reparsed.ok()) << rendered << ": " << reparsed.status().ToString();
+      EXPECT_EQ(RenderSelect(*reparsed, mode), rendered) << sql;
+      if (mode == RenderMode::kFaithful) {
+        EXPECT_TRUE(SamePredicate(*reparsed->where, *stmt->where)) << sql << "\n" << rendered;
+      }
+    }
+  }
+}
+
+TEST(RenderTest, LiteralsRoundTripExactly) {
+  // Bounds are how a statement is answered, not what it asks: never rendered.
   auto stmt = ParseSelect(
-      "SELECT city, SUM(x) FROM t WHERE a = 1 GROUP BY city WITHIN 2 SECONDS");
-  ASSERT_TRUE(stmt.ok());
-  const std::string rendered = stmt->ToString();
-  auto reparsed = ParseSelect(rendered);
-  ASSERT_TRUE(reparsed.ok()) << rendered << " -> " << reparsed.status().ToString();
-  EXPECT_EQ(reparsed->table, "t");
-  EXPECT_EQ(reparsed->group_by.size(), 1u);
-  EXPECT_EQ(reparsed->bounds.kind, QueryBounds::Kind::kTime);
+      "SELECT City, MEDIAN(x) AS m FROM T WHERE (b = 'it''s' OR a > 0.1) AND "
+      "c <= 100000000000000000000.0 AND d < 0.00001 GROUP BY City WITHIN 2 SECONDS");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const std::string faithful =
+      "SELECT City, QUANTILE(x, 0.5) AS m FROM T WHERE ((b = 'it''s' OR a > "
+      "0.10000000000000001) AND c <= 100000000000000000000.0 AND d < "
+      "0.00001000000000000000081803053914031309545862313825637102127075195312"
+      "5) GROUP BY City";
+  EXPECT_EQ(RenderSelect(*stmt), faithful);
+  EXPECT_EQ(RenderSelect(*stmt, RenderMode::kCanonical),
+            "SELECT city, QUANTILE(x, 0.5) AS m FROM t WHERE ((a > 0.10000000000000001 OR "
+            "b = 'it''s') AND c <= 100000000000000000000.0 AND d < "
+            "0.00001000000000000000081803053914031309545862313825637102127075195312"
+            "5) GROUP BY city");
+  // A value whose integer part alone runs to 301 digits still renders whole.
+  const std::string huge = RenderSqlValue(Value(1e300));
+  ASSERT_EQ(huge.size(), 303u);
+  auto reparsed = ParseSelect("SELECT COUNT(*) FROM t WHERE x < " + huge);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->where->literal.AsDouble(), 1e300);
 }
 
 // --- Analyzer ----------------------------------------------------------------
